@@ -49,7 +49,6 @@ from .model import (
     UnsupportedConversionError,
     apply_loss,
     build_augmented,
-    gamma_of_mode,
     ss_to_arma,
 )
 from .sim import (
@@ -68,7 +67,7 @@ __all__ = [
     "__version__",
     # model
     "PlantModel", "ArmaModel", "ModeSpace", "LossStrategy", "AugmentedModel",
-    "UnsupportedConversionError", "gamma_of_mode", "apply_loss",
+    "UnsupportedConversionError", "apply_loss",
     "build_augmented", "ss_to_arma",
     # markov
     "LinkChain", "TransitionMatrix", "kron_compose", "predict_prior",

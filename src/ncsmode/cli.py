@@ -41,6 +41,15 @@ STEP_CSV_SCHEMA = "ncsmode-steps-v1"
 
 PRESET_NAMES = ("cstr5",)
 
+# keys each config section may hold; the top level holds the preset's keys
+_SECTION_KEYS = {
+    "plant": ("A", "B", "C", "Q", "R"),
+    "arma": ("a", "b", "c", "lam"),
+    "chain": ("matrix", "links"),
+    "input": ("std", "sequence"),
+    "estimator_init": ("x0", "P0", "prior"),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -132,7 +141,16 @@ def _matrix(data, name: str) -> np.ndarray:
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
-    """Build and fully validate an experiment config from a plain dict."""
+    """Build and fully validate an experiment config from a plain dict.
+
+    An unknown key is rejected by name rather than silently ignored.
+    """
+    parts = [("", data, cstr5_config())]
+    parts += [(f"{name}: ", data.get(name), keys) for name, keys in _SECTION_KEYS.items()]
+    for where, part, known in parts:
+        unknown = sorted(set(part) - set(known)) if isinstance(part, dict) else None
+        if unknown:
+            raise ValueError(f"{where}unknown key(s) {', '.join(map(repr, unknown))}")
     with _field("plant"):
         pdata = data.get("plant")
         if not isinstance(pdata, dict):

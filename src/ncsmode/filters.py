@@ -16,6 +16,15 @@ through the mode chain, and pick the maximum-probability mode:
   mode-matched Kalman filters with probabilistic mixing, whose model
   probabilities play the role of the mode posterior.
 
+Candidates are scored in one batched pass, never one at a time. Arrays
+over the s candidates stack them on a leading axis, row j-1 for mode j:
+the mode tables ``A(j)``, ``B(j)`` are (s, d, d) and (s, d, r), candidate
+output predictions (s, m) with covariances (s, m, m), and the IMM bank's
+beliefs (s, d) means with (s, d, d) covariances. The Kalman kernels
+(``kf_predict``, ``kf_update``, ``floor_held_cov``) and ``GaussianBelief``
+broadcast over such leading axes, so the decided-mode filter of ``alg1`` and
+``alg2`` (no batch axis) and the IMM bank (batch axis s) run the same code.
+
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
 
@@ -98,17 +107,18 @@ class NumericalError(ArithmeticError):
 
 @dataclass(frozen=True)
 class GaussianBelief:
-    """State estimate as a Gaussian: mean vector and covariance matrix."""
+    """Gaussian state estimate: mean (..., d), covariance (..., d, d); leading
+    axes stack independent beliefs."""
 
     mean: np.ndarray
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
+        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         cov = np.asarray(self.cov, dtype=float)
-        if cov.shape != (mean.shape[0], mean.shape[0]):
+        if cov.shape != mean.shape + mean.shape[-1:]:
             raise ValueError(
-                f"covariance shape {cov.shape} does not match mean length {mean.shape[0]}"
+                f"covariance shape {cov.shape} does not match mean shape {mean.shape}"
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -117,7 +127,7 @@ class GaussianBelief:
         """Check symmetry and near-PSD of the covariance."""
         if not np.all(np.isfinite(self.mean)) or not np.all(np.isfinite(self.cov)):
             raise NumericalError("belief contains non-finite values")
-        if np.max(np.abs(self.cov - self.cov.T), initial=0.0) > COV_SYMMETRY_TOL:
+        if np.max(np.abs(self.cov - _t(self.cov)), initial=0.0) > COV_SYMMETRY_TOL:
             raise NumericalError("covariance lost symmetry")
         if self.cov.size and np.linalg.eigvalsh(self.cov).min() < COV_EIG_TOL:
             raise NumericalError("covariance lost positive semidefiniteness")
@@ -163,37 +173,47 @@ class StepResult:
 
 def _require_finite(name: str, *arrays) -> None:
     for arr in arrays:
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise NumericalError(f"non-finite values in {name}")
 
 
+def _t(mat: np.ndarray) -> np.ndarray:
+    """Transpose of the last two axes of a matrix or a stack of matrices."""
+    return mat.swapaxes(-1, -2)
+
+
+def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Matrix-vector products broadcast over leading axes: (..., a, b) @ (..., b)."""
+    return (mat @ vec[..., None])[..., 0]
+
+
 def kf_predict(A, B, Q, belief: GaussianBelief, u_prev) -> GaussianBelief:
-    """Time update: propagate mean and covariance one step."""
+    """Time update: propagate mean and covariance one step (batch axes broadcast)."""
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
+    u_prev = np.asarray(u_prev, dtype=float)
     _require_finite("kf_predict inputs", belief.mean, belief.cov, u_prev)
-    mean = A @ belief.mean + B @ u_prev
-    cov = A @ belief.cov @ A.T + Q
-    return GaussianBelief(mean, 0.5 * (cov + cov.T))
+    mean = _mv(A, belief.mean) + _mv(B, u_prev)
+    cov = A @ belief.cov @ _t(A) + Q
+    return GaussianBelief(mean, 0.5 * (cov + _t(cov)))
 
 
 def kf_update(C, R, belief: GaussianBelief, y) -> GaussianBelief:
-    """Measurement update with gain K = P C^T (C P C^T + R)^(-1)."""
+    """Measurement update with gain K = P C^T (C P C^T + R)^(-1) (batch axes broadcast)."""
     C = np.asarray(C, dtype=float)
     R = np.asarray(R, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float)
     _require_finite("kf_update inputs", belief.mean, belief.cov, y)
     pred_cov = belief.cov
-    innov_cov = C @ pred_cov @ C.T + R
+    innov_cov = C @ pred_cov @ _t(C) + R
     try:
-        gain = np.linalg.solve(innov_cov, C @ pred_cov).T
+        gain = _t(np.linalg.solve(innov_cov, C @ pred_cov))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance is singular") from exc
-    mean = belief.mean + gain @ (y - C @ belief.mean)
+    mean = belief.mean + _mv(gain, y - _mv(C, belief.mean))
     cov = pred_cov - gain @ C @ pred_cov
-    return GaussianBelief(mean, 0.5 * (cov + cov.T))
+    return GaussianBelief(mean, 0.5 * (cov + _t(cov)))
 
 
 def kf_step(A, B, C, Q, R, belief: GaussianBelief, u_prev, y) -> GaussianBelief:
@@ -203,15 +223,15 @@ def kf_step(A, B, C, Q, R, belief: GaussianBelief, u_prev, y) -> GaussianBelief:
 
 def floor_held_cov(belief: GaussianBelief, n_phys: int, floor: float) -> GaussianBelief:
     """Raise held-input variances (components beyond n_phys) to the floor."""
-    if floor <= 0.0 or belief.mean.shape[0] <= n_phys:
+    dim = belief.mean.shape[-1]
+    if floor <= 0.0 or dim <= n_phys:
         return belief
-    diag = np.diag(belief.cov)[n_phys:]
-    if diag.size == 0 or diag.min() >= floor:
+    diag = np.diagonal(belief.cov, axis1=-2, axis2=-1)[..., n_phys:]
+    if diag.min() >= floor:
         return belief
     cov = belief.cov.copy()
-    for i in range(n_phys, cov.shape[0]):
-        if cov[i, i] < floor:
-            cov[i, i] = floor
+    held = np.arange(n_phys, dim)
+    cov[..., held, held] = np.maximum(diag, floor)
     return GaussianBelief(belief.mean, cov)
 
 
@@ -234,9 +254,17 @@ def _cholesky(sigma: np.ndarray) -> np.ndarray:
         raise NumericalError("covariance is not positive definite") from exc
 
 
-def _chol_logpdf(diff: np.ndarray, chol: np.ndarray, log_det_half: float) -> float:
-    z = np.linalg.solve(chol, diff)
-    return -0.5 * (diff.shape[0] * LOG_2PI + z @ z) - log_det_half
+def _log_det_half(chol: np.ndarray):
+    """Half the log-determinant of each covariance from its Cholesky factor."""
+    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
+def _chol_logpdf(diff: np.ndarray, chol: np.ndarray, log_det_half):
+    """Gaussian log densities of residuals diff (..., m) under Cholesky
+    factors chol (..., m, m), broadcast over leading axes."""
+    z = np.linalg.solve(chol, diff[..., None])
+    maha = (_t(z) @ z)[..., 0, 0]
+    return -0.5 * (diff.shape[-1] * LOG_2PI + maha) - log_det_half
 
 
 def gaussian_logpdf(y, yhat, sigma) -> float:
@@ -246,7 +274,7 @@ def gaussian_logpdf(y, yhat, sigma) -> float:
     sigma = np.asarray(sigma, dtype=float)
     _require_finite("gaussian_logpdf inputs", y, yhat, sigma)
     chol = _cholesky(sigma)
-    return float(_chol_logpdf(y - yhat, chol, np.log(np.diag(chol)).sum()))
+    return float(_chol_logpdf(y - yhat, chol, _log_det_half(chol)))
 
 
 def gaussian_pdf(y, yhat, sigma) -> float:
@@ -268,7 +296,7 @@ def mode_posterior_update_log(probs_prev, loglik, transition) -> tuple[np.ndarra
     """
     probs_prev = np.asarray(getattr(probs_prev, "probs", probs_prev), dtype=float)
     loglik = np.asarray(loglik, dtype=float).reshape(-1)
-    if np.any(np.isnan(loglik)):
+    if np.isnan(loglik).any():
         raise NumericalError("NaN log-likelihood")
     prior = predict_prior(probs_prev, transition)
     if loglik.shape != prior.shape:
@@ -315,51 +343,69 @@ def alg1_predict_output(
     arma: ArmaModel,
     strategy: LossStrategy,
     space: ModeSpace,
-    j: int,
     y_hist,
     u_hist,
     uhat_hist,
     mode_hist,
 ) -> np.ndarray:
-    """Candidate output prediction from the input-output recursion.
+    """Output predictions of all s candidates from the input-output recursion.
 
-    Histories are newest-first: ``y_hist[i]`` is the output i+1 steps back,
-    ``u_hist[i]`` the issued input i+1 steps back, ``uhat_hist[i]`` the
-    reconstructed applied input i+2 steps back (hold only) and
-    ``mode_hist[i]`` the mode estimate i+2 steps back. The candidate j
-    stands in for the mode one step back; older modes come from the history.
+    Returns an (s, m) array, row j-1 for candidate j. Histories are
+    newest-first: ``y_hist[i]`` is the output i+1 steps back, ``u_hist[i]``
+    the issued input i+1 steps back, ``uhat_hist[i]`` the reconstructed
+    applied input i+2 steps back (hold only) and ``mode_hist[i]`` the mode
+    estimate i+2 steps back. The candidates stand in for the mode one step
+    back, one per row of the link-flag table; older modes come from the
+    history and are shared by every candidate.
     """
-    space.check(j)
-    yhat = np.zeros(arma.m)
+    yhat = np.zeros((space.s, arma.m))
     for i in range(arma.n_ar):
         yhat -= arma.a[i] * y_hist[i]
     hold = strategy is LossStrategy.HOLD
     for lag in range(1, arma.p + 1):
-        mode_l = j if lag == 1 else mode_hist[lag - 2]
-        alpha = space.decode(mode_l)
+        alpha = space.flags if lag == 1 else space.decode(mode_hist[lag - 2])
         coeff = arma.b[lag - 1]
-        yhat += coeff @ (alpha * u_hist[lag - 1])
+        yhat += _mv(coeff, alpha * u_hist[lag - 1])
         if hold:
-            yhat += coeff @ ((1.0 - alpha) * uhat_hist[lag - 1])
+            yhat += _mv(coeff, (1.0 - alpha) * uhat_hist[lag - 1])
     return yhat
 
 
 def alg2_predict(
-    aug: AugmentedModel, belief: GaussianBelief, u_prev, j: int
+    aug: AugmentedModel, belief: GaussianBelief, u_prev
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate output prediction and its covariance from the filter belief.
+    """Output predictions of all s candidates and their covariances.
+
+    Returns (s, m) means and (s, m, m) covariances from the filter belief,
+    row j-1 for candidate j:
 
     yhat_j = C A(j) mean + C B(j) u_prev
     sigma_j = C A(j) P A(j)^T C^T + C Q C^T + R
     """
-    u_prev = np.asarray(u_prev, dtype=float).reshape(-1)
-    a_mat = aug.A_of(j)
-    b_mat = aug.B_of(j)
+    u_prev = np.asarray(u_prev, dtype=float)
+    ca, cb = aug.output_tables
     c_mat = aug.C
-    ca = c_mat @ a_mat
-    yhat = ca @ belief.mean + (c_mat @ b_mat) @ u_prev
-    sigma = ca @ belief.cov @ ca.T + c_mat @ aug.Q @ c_mat.T + aug.R
-    return yhat, 0.5 * (sigma + sigma.T)
+    yhat = _mv(ca, belief.mean) + _mv(cb, u_prev)
+    sigma = ca @ belief.cov @ _t(ca) + c_mat @ aug.Q @ c_mat.T + aug.R
+    return yhat, 0.5 * (sigma + _t(sigma))
+
+
+def _moment_match(weights: np.ndarray, bank: GaussianBelief) -> GaussianBelief:
+    """Moment-matched Gaussian of the mixture sum_i w_i N(mean_i, cov_i) over
+    a stacked bank of s beliefs; each row of weights (..., s) gives one."""
+    s, d = bank.mean.shape
+    mean = weights @ bank.mean
+    diff = bank.mean - mean[..., None, :]
+    cov = (weights @ bank.cov.reshape(s, d * d)).reshape(mean.shape + (d,))
+    cov += (_t(diff) * weights[..., None, :]) @ diff
+    return GaussianBelief(mean, 0.5 * (cov + _t(cov)))
+
+
+def _decided_cycle(aug: AugmentedModel, mode: int, belief, u_prev, y, floor) -> GaussianBelief:
+    """Kalman cycle on the decided mode's matrices, then the held-input floor."""
+    a_tab, b_tab = aug.mode_tables
+    belief = kf_step(a_tab[mode - 1], b_tab[mode - 1], aug.C, aug.Q, aug.R, belief, u_prev, y)
+    return floor_held_cov(belief, aug.plant.n, floor)
 
 
 def _transition_array(transition, s: int) -> np.ndarray:
@@ -367,6 +413,12 @@ def _transition_array(transition, s: int) -> np.ndarray:
     if mat.shape != (s, s):
         raise ValueError(f"transition matrix shape {mat.shape} does not match {s} modes")
     return mat
+
+
+def _initial_belief(dim: int, x0, P0) -> GaussianBelief:
+    mean = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
+    cov = np.eye(dim) if P0 is None else np.asarray(P0, dtype=float)
+    return GaussianBelief(mean, cov)
 
 
 def _initial_probs(prior, s: int) -> np.ndarray:
@@ -418,16 +470,13 @@ class Alg1Estimator:
         self.space = ModeSpace(arma.r)
         self._P = _transition_array(transition, self.space.s)
         self._probs = _initial_probs(prior, self.space.s)
-        self._alphas = [self.space.decode(j) for j in self.space.modes()]
         self._held_cov_floor = held_cov_floor
         self._gate_d2 = (
             math.inf if gate_pvalue is None else chi2_upper_quantile(arma.m, gate_pvalue)
         )
 
-        sigma = alg1_const_sigma(arma)
-        self._chol = _cholesky(sigma)
-        self._log_det_half = float(np.log(np.diag(self._chol)).sum())
-        self._sigma = sigma
+        self._chol = _cholesky(alg1_const_sigma(arma))
+        self._log_det_half = float(_log_det_half(self._chol))
 
         n, p, m, r = arma.n_ar, arma.p, arma.m, arma.r
         self._y_hist: deque = deque([np.zeros(m)] * n, maxlen=max(n, 1))
@@ -440,10 +489,7 @@ class Alg1Estimator:
         if kf_model is not None:
             if kf_model.strategy is not strategy:
                 raise ValueError("kf_model strategy does not match the estimator")
-            dim = kf_model.state_dim
-            mean = np.zeros(dim) if kf_x0 is None else np.asarray(kf_x0, dtype=float)
-            cov = np.eye(dim) if kf_P0 is None else np.asarray(kf_P0, dtype=float)
-            self._belief = GaussianBelief(mean, cov)
+            self._belief = _initial_belief(kf_model.state_dim, kf_x0, kf_P0)
 
     @property
     def posterior(self) -> np.ndarray:
@@ -469,13 +515,11 @@ class Alg1Estimator:
         y = np.asarray(y, dtype=float).reshape(-1)
         _require_finite("alg1 step inputs", u, y)
 
-        loglik = np.empty(self.space.s)
-        for j in self.space.modes():
-            yhat = alg1_predict_output(
-                self.arma, self.strategy, self.space, j,
-                self._y_hist, self._u_hist, self._uhat_hist, self._mode_hist,
-            )
-            loglik[j - 1] = _chol_logpdf(y - yhat, self._chol, self._log_det_half)
+        yhat = alg1_predict_output(
+            self.arma, self.strategy, self.space,
+            self._y_hist, self._u_hist, self._uhat_hist, self._mode_hist,
+        )
+        loglik = _chol_logpdf(y - yhat, self._chol, self._log_det_half)
 
         best_d2 = -2.0 * (loglik.max() + self._log_det_half) - self.arma.m * LOG_2PI
         if best_d2 > self._gate_d2:
@@ -491,7 +535,7 @@ class Alg1Estimator:
             if fallback:
                 uhat = self._u_hist[0].copy()
             else:
-                alpha = self._alphas[memory_mode - 1]
+                alpha = self.space.flags[memory_mode - 1]
                 uhat = alpha * self._u_hist[0] + (1.0 - alpha) * self._uhat_hist[0]
             self._uhat_hist.appendleft(uhat)
         if self.arma.p > 1:
@@ -499,12 +543,9 @@ class Alg1Estimator:
 
         state = None
         if self._kf is not None:
-            a_list, b_list = self._kf.mode_tables
-            belief = kf_step(
-                a_list[mode - 1], b_list[mode - 1], self._kf.C, self._kf.Q, self._kf.R,
-                self._belief, self._u_hist[0], y,
+            self._belief = _decided_cycle(
+                self._kf, mode, self._belief, self._u_hist[0], y, self._held_cov_floor
             )
-            self._belief = floor_held_cov(belief, self._kf.plant.n, self._held_cov_floor)
             state = self._belief.mean
 
         self._y_hist.appendleft(y)
@@ -537,10 +578,7 @@ class Alg2Estimator:
         self._P = _transition_array(transition, self.space.s)
         self._probs = _initial_probs(prior, self.space.s)
         self._held_cov_floor = held_cov_floor
-        dim = aug.state_dim
-        mean = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-        cov = np.eye(dim) if P0 is None else np.asarray(P0, dtype=float)
-        self._belief = GaussianBelief(mean, cov)
+        self._belief = _initial_belief(aug.state_dim, x0, P0)
         self._last_u: np.ndarray | None = None
 
     @property
@@ -561,21 +599,16 @@ class Alg2Estimator:
         y = np.asarray(y, dtype=float).reshape(-1)
         _require_finite("alg2 step inputs", u, y)
 
-        loglik = np.empty(self.space.s)
-        for j in self.space.modes():
-            yhat, sigma = alg2_predict(self.aug, self._belief, self._last_u, j)
-            chol = _cholesky(sigma)
-            loglik[j - 1] = _chol_logpdf(y - yhat, chol, np.log(np.diag(chol)).sum())
+        yhat, sigma = alg2_predict(self.aug, self._belief, self._last_u)
+        chol = _cholesky(sigma)
+        loglik = _chol_logpdf(y - yhat, chol, _log_det_half(chol))
 
         self._probs, fallback = mode_posterior_update_log(self._probs, loglik, self._P)
         mode = mode_argmax(self._probs) if force_mode is None else force_mode
 
-        a_list, b_list = self.aug.mode_tables
-        belief = kf_step(
-            a_list[mode - 1], b_list[mode - 1], self.aug.C, self.aug.Q, self.aug.R,
-            self._belief, self._last_u, y,
+        self._belief = _decided_cycle(
+            self.aug, mode, self._belief, self._last_u, y, self._held_cov_floor
         )
-        self._belief = floor_held_cov(belief, self.aug.plant.n, self._held_cov_floor)
         self._last_u = u
         return StepResult(mode, self._belief.mean, self._probs.copy(), loglik, fallback)
 
@@ -583,11 +616,11 @@ class Alg2Estimator:
 class ImmEstimator:
     """Interacting-multiple-model baseline over the mode set.
 
-    One Kalman filter per mode. Each cycle mixes the filters through the
-    mode chain, runs every filter on the newest measurement, reweights the
-    model probabilities by the innovation likelihoods, and moment-matches a
-    combined Gaussian. The model probabilities stand in for the mode
-    posterior; the state output is the combined mean.
+    One Kalman filter per mode, run as one bank (batch axis s). Each cycle
+    mixes the filters through the mode chain, runs every filter on the
+    newest measurement, reweights the model probabilities by the innovation
+    likelihoods, and moment-matches a combined Gaussian. The model
+    probabilities stand in for the mode posterior; the state is its mean.
     """
 
     key = "imm"
@@ -606,10 +639,8 @@ class ImmEstimator:
         self._P = _transition_array(transition, self.space.s)
         self._mu = _initial_probs(prior, self.space.s)
         self._held_cov_floor = held_cov_floor
-        dim = aug.state_dim
-        mean = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-        cov = np.eye(dim) if P0 is None else np.asarray(P0, dtype=float)
-        self._beliefs = [GaussianBelief(mean.copy(), cov.copy()) for _ in range(self.space.s)]
+        init, s = _initial_belief(aug.state_dim, x0, P0), self.space.s
+        self._bank = GaussianBelief(np.tile(init.mean, (s, 1)), np.tile(init.cov, (s, 1, 1)))
         self._combined: GaussianBelief | None = None
         self._last_u: np.ndarray | None = None
 
@@ -619,7 +650,7 @@ class ImmEstimator:
 
     @property
     def beliefs(self) -> list[GaussianBelief]:
-        return list(self._beliefs)
+        return [GaussianBelief(m, c) for m, c in zip(self._bank.mean, self._bank.cov)]
 
     @property
     def combined_belief(self) -> GaussianBelief | None:
@@ -629,30 +660,6 @@ class ImmEstimator:
     def start(self, u0, y0) -> None:
         self._last_u = np.asarray(u0, dtype=float).reshape(-1)
 
-    def _mix(self) -> tuple[list[GaussianBelief], np.ndarray]:
-        """Per-filter mixed initial conditions and predicted model weights."""
-        s = self.space.s
-        cbar = self._P.T @ self._mu
-        mixed: list[GaussianBelief] = []
-        for j in range(s):
-            if cbar[j] > 0.0:
-                w = self._P[:, j] * self._mu / cbar[j]
-            else:
-                # unreachable target mode: weights are irrelevant, keep own state
-                w = np.zeros(s)
-                w[j] = 1.0
-            mean = np.zeros_like(self._beliefs[0].mean)
-            for i in range(s):
-                if w[i] != 0.0:
-                    mean = mean + w[i] * self._beliefs[i].mean
-            cov = np.zeros_like(self._beliefs[0].cov)
-            for i in range(s):
-                if w[i] != 0.0:
-                    diff = self._beliefs[i].mean - mean
-                    cov = cov + w[i] * (self._beliefs[i].cov + np.outer(diff, diff))
-            mixed.append(GaussianBelief(mean, 0.5 * (cov + cov.T)))
-        return mixed, cbar
-
     def step(self, u, y) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
@@ -660,44 +667,26 @@ class ImmEstimator:
         y = np.asarray(y, dtype=float).reshape(-1)
         _require_finite("imm step inputs", u, y)
 
-        mixed, cbar = self._mix()
-        a_list, b_list = self.aug.mode_tables
-        c_mat, q_mat, r_mat = self.aug.C, self.aug.Q, self.aug.R
-        n_phys = self.aug.plant.n
+        # mixing weights W[j, i] = P[i, j] mu_i / prior_j of filter i into
+        # filter j; an unreachable target (prior_j = 0) keeps its own state
+        prior = predict_prior(self._mu, self._P)
+        reach = prior > 0.0
+        weights = self._P.T * self._mu / np.where(reach, prior, 1.0)[:, None]
+        weights = np.where(reach[:, None], weights, np.eye(self.space.s))
+        mixed = _moment_match(weights, self._bank)
 
-        s = self.space.s
-        loglik = np.empty(s)
-        for j in range(s):
-            pred = kf_predict(a_list[j], b_list[j], q_mat, mixed[j], self._last_u)
-            innov_cov = c_mat @ pred.cov @ c_mat.T + r_mat
-            chol = _cholesky(0.5 * (innov_cov + innov_cov.T))
-            loglik[j] = _chol_logpdf(
-                y - c_mat @ pred.mean, chol, np.log(np.diag(chol)).sum()
-            )
-            self._beliefs[j] = floor_held_cov(
-                kf_update(c_mat, r_mat, pred, y), n_phys, self._held_cov_floor
-            )
+        c_mat, r_mat = self.aug.C, self.aug.R
+        pred = kf_predict(*self.aug.mode_tables, self.aug.Q, mixed, self._last_u)
+        innov_cov = c_mat @ pred.cov @ c_mat.T + r_mat
+        chol = _cholesky(0.5 * (innov_cov + _t(innov_cov)))
+        loglik = _chol_logpdf(y - _mv(c_mat, pred.mean), chol, _log_det_half(chol))
+        self._bank = floor_held_cov(
+            kf_update(c_mat, r_mat, pred, y), self.aug.plant.n, self._held_cov_floor
+        )
 
-        with np.errstate(divide="ignore"):
-            logw = loglik + np.log(cbar)
-        top = logw.max()
-        if np.isfinite(top):
-            weights = np.exp(logw - top)
-            self._mu = weights / weights.sum()
-            fallback = False
-        else:
-            self._mu = cbar / cbar.sum()
-            fallback = True
-
-        mean = np.zeros_like(self._beliefs[0].mean)
-        for j in range(s):
-            mean = mean + self._mu[j] * self._beliefs[j].mean
-        cov = np.zeros_like(self._beliefs[0].cov)
-        for j in range(s):
-            diff = self._beliefs[j].mean - mean
-            cov = cov + self._mu[j] * (self._beliefs[j].cov + np.outer(diff, diff))
-        self._combined = GaussianBelief(mean, 0.5 * (cov + cov.T))
-
-        mode = mode_argmax(self._mu)
+        self._mu, fallback = mode_posterior_update_log(self._mu, loglik, self._P)
+        self._combined = _moment_match(self._mu, self._bank)
         self._last_u = u
-        return StepResult(mode, mean, self._mu.copy(), loglik, fallback)
+        return StepResult(
+            mode_argmax(self._mu), self._combined.mean, self._mu.copy(), loglik, fallback
+        )

@@ -24,7 +24,6 @@ __all__ = [
     "ModeSpace",
     "LossStrategy",
     "AugmentedModel",
-    "gamma_of_mode",
     "apply_loss",
     "build_augmented",
     "ss_to_arma",
@@ -37,14 +36,18 @@ class UnsupportedConversionError(ValueError):
     """Raised when a plant lies outside the supported ARMA conversion class."""
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 def _as_matrix(value, name: str) -> np.ndarray:
     arr = np.array(value, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
-    arr.setflags(write=False)
-    return arr
+    return _read_only(arr)
 
 
 def _check_symmetric(mat: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> None:
@@ -203,6 +206,11 @@ class ModeSpace:
         if not 1 <= j <= self.s:
             raise ValueError(f"mode index {j} outside 1..{self.s}")
 
+    @cached_property
+    def flags(self) -> np.ndarray:
+        """Read-only (s, r) table of link flags; row j-1 holds mode j's."""
+        return _read_only((np.arange(self.s)[:, None] >> np.arange(self.r) & 1).astype(float))
+
     def decode(self, j: int) -> np.ndarray:
         """Link flags (alpha_1..alpha_r) for mode j, as a float 0/1 vector."""
         self.check(j)
@@ -225,11 +233,6 @@ class LossStrategy(Enum):
 
     ZERO = "zero"
     HOLD = "hold"
-
-
-def gamma_of_mode(j: int, space: ModeSpace) -> np.ndarray:
-    """Diagonal 0/1 matrix selecting the channels delivered in mode j."""
-    return np.diag(space.decode(j))
 
 
 def apply_loss(
@@ -298,8 +301,7 @@ class AugmentedModel:
             out = np.hstack([self.plant.C, np.zeros((self.plant.m, self.plant.r))])
         else:
             out = self.plant.C.copy()
-        out.setflags(write=False)
-        return out
+        return _read_only(out)
 
     @cached_property
     def Q(self) -> np.ndarray:
@@ -309,47 +311,38 @@ class AugmentedModel:
             out[:n, :n] = self.plant.Q
         else:
             out = self.plant.Q.copy()
-        out.setflags(write=False)
-        return out
+        return _read_only(out)
 
     @property
     def R(self) -> np.ndarray:
         return self.plant.R
 
-    def A_of(self, j: int) -> np.ndarray:
+    @cached_property
+    def mode_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked per-mode matrices: read-only (s, d, d) A(j) and (s, d, r)
+        B(j), row j-1 for mode j, built once and reused in hot loops."""
+        plant, s = self.plant, self.space.s
+        n, r = plant.n, plant.r
+        # B Gamma(j) scales the columns of B; + 0.0 turns the -0.0 of a
+        # negative entry times a zero flag into the +0.0 a matrix product gives
+        flags = self.space.flags[:, None, :]
+        b_tab = plant.B * flags + 0.0
         if self.strategy is LossStrategy.ZERO:
-            self.space.check(j)
-            return self.plant.A
-        return self.mode_tables[0][j - 1]
-
-    def B_of(self, j: int) -> np.ndarray:
-        return self.mode_tables[1][j - 1]
+            a_tab = np.repeat(plant.A[None], s, axis=0)
+        else:
+            held = 1.0 - flags
+            a_tab = np.zeros((s, n + r, n + r))
+            a_tab[:, :n, :n] = plant.A
+            a_tab[:, :n, n:] = plant.B * held + 0.0
+            a_tab[:, n:, n:] = np.eye(r) * held
+            b_tab = np.concatenate([b_tab, np.eye(r) * flags], axis=1)
+        return _read_only(a_tab), _read_only(b_tab)
 
     @cached_property
-    def mode_tables(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Per-mode (A(j), B(j)) pairs, built once and reused in hot loops."""
-        plant, space = self.plant, self.space
-        a_list: list[np.ndarray] = []
-        b_list: list[np.ndarray] = []
-        for j in space.modes():
-            gam = gamma_of_mode(j, space)
-            if self.strategy is LossStrategy.ZERO:
-                a_mat = plant.A
-                b_mat = plant.B @ gam
-            else:
-                held = np.eye(plant.r) - gam
-                a_mat = np.block([
-                    [plant.A, plant.B @ held],
-                    [np.zeros((plant.r, plant.n)), held],
-                ])
-                b_mat = np.vstack([plant.B @ gam, gam])
-            a_mat = np.ascontiguousarray(a_mat)
-            b_mat = np.ascontiguousarray(b_mat)
-            a_mat.setflags(write=False)
-            b_mat.setflags(write=False)
-            a_list.append(a_mat)
-            b_list.append(b_mat)
-        return a_list, b_list
+    def output_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked C A(j) and C B(j): each mode's one-step output maps."""
+        a_tab, b_tab = self.mode_tables
+        return _read_only(self.C @ a_tab), _read_only(self.C @ b_tab)
 
     def initial_state(self, x0, u_init_applied=None) -> np.ndarray:
         """Full initial state vector from the physical state (and, for hold,

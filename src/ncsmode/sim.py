@@ -16,7 +16,6 @@ or how trials are scheduled. Monte Carlo trial t uses seed
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -191,8 +190,7 @@ def _psd_factor(mat: np.ndarray) -> np.ndarray | None:
     return vecs * np.sqrt(vals)
 
 
-def _build_estimators(cfg: TrialConfig, names) -> dict:
-    aug = build_augmented(cfg.plant, cfg.strategy)
+def _build_estimators(cfg: TrialConfig, names, aug) -> dict:
     floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
     est: dict = {}
     for name in names:
@@ -281,7 +279,7 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
     us[0] = draw_u(0)
 
     try:
-        estimators = _build_estimators(cfg, names)
+        estimators = _build_estimators(cfg, names, aug)
         for est in estimators.values():
             est.start(us[0], ys[0])
     except (NumericalError, np.linalg.LinAlgError) as exc:
@@ -290,12 +288,11 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
         record.fail_reason = str(exc)
         return record
 
-    a_list, b_list = aug.mode_tables
-    gammas = [aug.space.decode(j) for j in aug.space.modes()]
+    a_tab, b_tab = aug.mode_tables
 
     for k in range(1, nsteps + 1):
         th_prev = true_modes[k - 1]
-        state = a_list[th_prev - 1] @ state + b_list[th_prev - 1] @ us[k - 1]
+        state = a_tab[th_prev - 1] @ state + b_tab[th_prev - 1] @ us[k - 1]
         if chol_q is not None:
             state = state + np.concatenate(
                 [chol_q @ w_rng.standard_normal(n), np.zeros(state.shape[0] - n)]
@@ -304,7 +301,7 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
         if cfg.strategy is LossStrategy.HOLD:
             u_applied[k - 1] = state[n:]
         else:
-            u_applied[k - 1] = gammas[th_prev - 1] * us[k - 1]
+            u_applied[k - 1] = aug.space.flags[th_prev - 1] * us[k - 1]
         if k < nsteps:
             true_modes[k] = sample_next(cfg.chain, th_prev, mode_rng)
         ys[k] = plant.C @ state[:n] + draw_v()
@@ -354,6 +351,8 @@ def run_monte_carlo(
         for trial_cfg in configs:
             yield simulate_trial(trial_cfg, names)
         return
+    from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~2 MB RSS
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         yield from pool.map(_simulate_star, [(c, names) for c in configs])
 
@@ -370,7 +369,8 @@ def replay_estimators(cfg: TrialConfig, estimator_names, u: np.ndarray, y: np.nd
     if u.shape[0] != y.shape[0]:
         raise ValueError("u and y must cover the same steps")
     nsteps = u.shape[0] - 1
-    estimators = _build_estimators(cfg, tuple(estimator_names))
+    aug = build_augmented(cfg.plant, cfg.strategy)
+    estimators = _build_estimators(cfg, tuple(estimator_names), aug)
     out = {}
     for name, est in estimators.items():
         est.start(u[0], y[0])

@@ -4,6 +4,8 @@ Everything here is deliberately written as direct enumeration or direct
 recursion, sharing no code path with the implementations under test.
 """
 
+import math
+
 import numpy as np
 
 from ncsmode.model import LossStrategy
@@ -60,9 +62,10 @@ def simulate_state_space(aug, thetas, u, v, x0_full):
     state = np.array(x0_full, dtype=float)
     y = np.zeros((n_steps + 1, aug.C.shape[0]))
     y[0] = aug.C @ state + v[0]
+    a_tab, b_tab = aug.mode_tables
     for k in range(n_steps):
         j = int(thetas[k])
-        state = aug.A_of(j) @ state + aug.B_of(j) @ u[k]
+        state = a_tab[j - 1] @ state + b_tab[j - 1] @ u[k]
         y[k + 1] = aug.C @ state + v[k + 1]
     return y
 
@@ -97,3 +100,129 @@ def joint_chain_oracle(links, space):
                 prob *= links[idx].P2[ai[idx], aj[idx]]
             P[i - 1, j - 1] = prob
     return P
+
+
+# ---------------------------------------------------------------------------
+# Per-candidate estimator cycles: the package scores every candidate in one
+# batched pass; these enumerate the candidates one at a time on 2-D arrays.
+# ---------------------------------------------------------------------------
+
+LOG_2PI = math.log(2.0 * math.pi)
+
+
+def gaussian_loglik(diff, sigma):
+    """Log density of N(0, sigma) at diff, through a Cholesky factor."""
+    chol = np.linalg.cholesky(sigma)
+    z = np.linalg.solve(chol, diff)
+    return -0.5 * (diff.shape[0] * LOG_2PI + z @ z) - np.log(np.diag(chol)).sum()
+
+
+def kalman_cycle(A, B, C, Q, R, mean, cov, u_prev, y):
+    """One Kalman cycle: predict with u_prev, then update with y."""
+    mean = A @ mean + B @ u_prev
+    cov = A @ cov @ A.T + Q
+    cov = 0.5 * (cov + cov.T)
+    innov_cov = C @ cov @ C.T + R
+    gain = np.linalg.solve(innov_cov, C @ cov).T
+    mean = mean + gain @ (y - C @ mean)
+    cov = cov - gain @ C @ cov
+    return mean, 0.5 * (cov + cov.T)
+
+
+def floor_held(cov, n_phys, floor):
+    """Raise each held-input variance (index n_phys and up) to the floor."""
+    cov = cov.copy()
+    for i in range(n_phys, cov.shape[0]):
+        if cov[i, i] < floor:
+            cov[i, i] = floor
+    return cov
+
+
+def bayes_decision(post_prev, loglik, P):
+    """Posterior and 1-based argmax mode from log-likelihoods, by direct
+    enumeration; the chain prior when every weighted candidate is zero."""
+    s = len(post_prev)
+    prior = np.array([sum(post_prev[l] * P[l, h] for l in range(s)) for h in range(s)])
+    with np.errstate(divide="ignore"):
+        logw = np.log(prior) + loglik
+    if not np.isfinite(logw.max()):
+        return prior, int(np.argmax(prior)) + 1
+    weights = np.exp(logw - logw.max())
+    post = weights / weights.sum()
+    return post, int(np.argmax(post)) + 1
+
+
+def alg1_scores(arma, strategy, space, y, y_hist, u_hist, uhat_hist, mode_hist):
+    """alg1 log-likelihoods and Mahalanobis distances, candidate by candidate."""
+    sigma = (1.0 + float(np.dot(arma.c, arma.c))) * arma.lam
+    chol = np.linalg.cholesky(sigma)
+    loglik = np.empty(space.s)
+    maha = np.empty(space.s)
+    for j in space.modes():
+        yhat = np.zeros(arma.m)
+        for i in range(arma.n_ar):
+            yhat -= arma.a[i] * y_hist[i]
+        for lag in range(1, arma.p + 1):
+            alpha = space.decode(j if lag == 1 else mode_hist[lag - 2])
+            coeff = arma.b[lag - 1]
+            yhat += coeff @ (alpha * u_hist[lag - 1])
+            if strategy is LossStrategy.HOLD:
+                yhat += coeff @ ((1.0 - alpha) * uhat_hist[lag - 1])
+        z = np.linalg.solve(chol, y - yhat)
+        maha[j - 1] = z @ z
+        loglik[j - 1] = gaussian_loglik(y - yhat, sigma)
+    return loglik, maha
+
+
+def alg2_scores(aug, mean, cov, u_prev, y):
+    """alg2 log-likelihoods from the filter belief, candidate by candidate."""
+    c_mat = aug.C
+    a_tab, b_tab = aug.mode_tables
+    loglik = np.empty(aug.space.s)
+    for j in aug.space.modes():
+        ca = c_mat @ a_tab[j - 1]
+        yhat = ca @ mean + (c_mat @ b_tab[j - 1]) @ u_prev
+        sigma = ca @ cov @ ca.T + c_mat @ aug.Q @ c_mat.T + aug.R
+        loglik[j - 1] = gaussian_loglik(y - yhat, 0.5 * (sigma + sigma.T))
+    return loglik
+
+
+def moment_match(weights, means, covs):
+    """Mean and covariance of sum_i w_i N(means[i], covs[i]), term by term."""
+    mean = np.zeros_like(means[0])
+    for w, m in zip(weights, means):
+        mean = mean + w * m
+    cov = np.zeros_like(covs[0])
+    for w, m, c in zip(weights, means, covs):
+        diff = m - mean
+        cov = cov + w * (c + np.outer(diff, diff))
+    return mean, 0.5 * (cov + cov.T)
+
+
+def imm_cycle(aug, P, mu, means, covs, u_prev, y, floor):
+    """One IMM cycle with per-target mixing, one filter per mode and a
+    term-by-term combination. An unreachable target mode keeps its own
+    belief. Returns (loglik, mu, means, covs, combined mean)."""
+    s = len(mu)
+    prior = np.array([sum(mu[i] * P[i, j] for i in range(s)) for j in range(s)])
+    a_tab, b_tab = aug.mode_tables
+    c_mat, q_mat, r_mat = aug.C, aug.Q, aug.R
+    loglik = np.empty(s)
+    new_means, new_covs = [], []
+    for j in range(s):
+        if prior[j] > 0.0:
+            weights = [P[i, j] * mu[i] / prior[j] for i in range(s)]
+        else:
+            weights = [float(i == j) for i in range(s)]
+        mean, cov = moment_match(weights, means, covs)
+        pred_mean = a_tab[j] @ mean + b_tab[j] @ u_prev
+        pred_cov = a_tab[j] @ cov @ a_tab[j].T + q_mat
+        pred_cov = 0.5 * (pred_cov + pred_cov.T)
+        innov_cov = c_mat @ pred_cov @ c_mat.T + r_mat
+        loglik[j] = gaussian_loglik(y - c_mat @ pred_mean, 0.5 * (innov_cov + innov_cov.T))
+        mean, cov = kalman_cycle(a_tab[j], b_tab[j], c_mat, q_mat, r_mat, mean, cov, u_prev, y)
+        new_means.append(mean)
+        new_covs.append(floor_held(cov, aug.plant.n, floor))
+    post, _ = bayes_decision(mu, loglik, P)
+    combined, _ = moment_match(post, new_means, new_covs)
+    return loglik, post, new_means, new_covs, combined

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from ncsmode.cli import (
 )
 
 from conftest import BENCHMARK_TRANSITION
+
+QUAD4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "quad4.json"
 
 
 def test_preset_reproduces_benchmark_constants():
@@ -49,6 +52,27 @@ def test_validation_errors_name_fields():
     data["input"] = {}
     with pytest.raises(ValueError, match="input"):
         config_from_dict(data)
+
+
+def test_unknown_config_keys_rejected_naming_the_key(tmp_path, capsys):
+    data = cstr5_config()
+    data["trails"] = 5
+    with pytest.raises(ValueError, match="'trails'"):
+        config_from_dict(data)
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "trails" in capsys.readouterr().err
+    for section in ("plant", "chain", "input", "estimator_init"):
+        data = cstr5_config()
+        data[section]["typo"] = 1
+        with pytest.raises(ValueError, match=f"{section}: unknown key.*'typo'"):
+            config_from_dict(data)
+
+
+def test_written_configs_hold_only_known_keys():
+    config_from_dict(config_to_dict(load_config("cstr5")))
+    assert load_config(str(QUAD4_CONFIG)).trial.chain.s == 16
 
 
 def test_config_round_trip_is_fixpoint(tmp_path):

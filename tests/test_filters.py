@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ncsmode.filters import (
+    DEFAULT_GATE_PVALUE,
+    DEFAULT_HELD_COV_FLOOR,
     Alg1Estimator,
     Alg2Estimator,
     GaussianBelief,
@@ -13,6 +16,7 @@ from ncsmode.filters import (
     alg1_const_sigma,
     alg1_predict_output,
     alg2_predict,
+    chi2_upper_quantile,
     gaussian_logpdf,
     gaussian_pdf,
     kf_step,
@@ -20,7 +24,7 @@ from ncsmode.filters import (
     mode_posterior_update,
     mode_posterior_update_log,
 )
-from ncsmode.markov import TransitionMatrix, predict_prior
+from ncsmode.markov import LinkChain, TransitionMatrix, kron_compose, predict_prior
 from ncsmode.model import (
     ArmaModel,
     LossStrategy,
@@ -29,7 +33,19 @@ from ncsmode.model import (
     build_augmented,
     ss_to_arma,
 )
-from oracles import bayes_posterior, simulate_state_space
+from ncsmode.sim import TrialConfig, simulate_trial
+from oracles import (
+    alg1_scores,
+    alg2_scores,
+    bayes_decision,
+    bayes_posterior,
+    floor_held,
+    imm_cycle,
+    kalman_cycle,
+    simulate_state_space,
+)
+
+from conftest import BENCHMARK_TRANSITION, CSTR_LINK
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +75,7 @@ def test_kf_step_known_mode_tracking(cstr_plant, cstr_chain):
     from ncsmode.markov import sample_next
 
     aug = build_augmented(cstr_plant, LossStrategy.HOLD)
+    a_tab, b_tab = aug.mode_tables
     rng = np.random.default_rng(11)
     state = aug.initial_state([1.0, 1.0], [1.0, 1.0])
     belief = GaussianBelief(state.copy(), 0.1 * np.eye(4))
@@ -67,9 +84,9 @@ def test_kf_step_known_mode_tracking(cstr_plant, cstr_chain):
     chol_r = np.linalg.cholesky(cstr_plant.R)
     for _ in range(100):
         u = rng.normal(scale=10.0, size=2)
-        state = aug.A_of(theta) @ state + aug.B_of(theta) @ u
+        state = a_tab[theta - 1] @ state + b_tab[theta - 1] @ u
         y = aug.C @ state + chol_r @ rng.standard_normal(2)
-        belief = kf_step(aug.A_of(theta), aug.B_of(theta), aug.C, aug.Q, aug.R,
+        belief = kf_step(a_tab[theta - 1], b_tab[theta - 1], aug.C, aug.Q, aug.R,
                          belief, u, y)
         belief.validate()
         errs.append(state[:2] - belief.mean[:2])
@@ -209,11 +226,10 @@ def test_alg1_predict_zero_history(cstr_plant):
     arma = ss_to_arma(cstr_plant)
     space = ModeSpace(2)
     zeros2 = [np.zeros(2)] * 2
-    for j in space.modes():
-        out = alg1_predict_output(
-            arma, LossStrategy.HOLD, space, j, zeros2, zeros2, zeros2, [space.s]
-        )
-        assert np.array_equal(out, np.zeros(2))
+    out = alg1_predict_output(
+        arma, LossStrategy.HOLD, space, zeros2, zeros2, zeros2, [space.s]
+    )
+    assert np.array_equal(out, np.zeros((space.s, 2)))
 
 
 def test_alg1_predict_scalar_hand_computed():
@@ -225,13 +241,11 @@ def test_alg1_predict_scalar_hand_computed():
     deliver = space.encode([1])
     loss = space.encode([0])
     out = alg1_predict_output(
-        arma, LossStrategy.ZERO, space, deliver, y_hist, u_hist, uhat_hist, []
+        arma, LossStrategy.ZERO, space, y_hist, u_hist, uhat_hist, []
     )
-    assert out == pytest.approx([4.0])
-    out = alg1_predict_output(
-        arma, LossStrategy.ZERO, space, loss, y_hist, u_hist, uhat_hist, []
-    )
-    assert out == pytest.approx([1.0])
+    assert out.shape == (2, 1)
+    assert out[deliver - 1] == pytest.approx([4.0])
+    assert out[loss - 1] == pytest.approx([1.0])
 
 
 @pytest.mark.parametrize("strategy", [LossStrategy.ZERO, LossStrategy.HOLD])
@@ -252,26 +266,25 @@ def test_alg1_predict_matches_noise_free_truth(cstr_plant, cstr_chain, strategy)
     est.start(u[0], y[0])
     for k in range(1, steps):
         yhat = alg1_predict_output(
-            arma, strategy, space, int(thetas[k - 1]),
+            arma, strategy, space,
             est._y_hist, est._u_hist, est._uhat_hist, est._mode_hist,
         )
-        assert np.max(np.abs(yhat - y[k])) < 1e-9
+        assert np.max(np.abs(yhat[thetas[k - 1] - 1] - y[k])) < 1e-9
         est.step(u[k], y[k], force_mode=int(thetas[k - 1]))
 
 
 def test_alg2_predict_examples(cstr_plant):
     aug = build_augmented(cstr_plant, LossStrategy.HOLD)
     belief = GaussianBelief(np.zeros(4), np.zeros((4, 4)))
-    yhat, sigma = alg2_predict(aug, belief, np.zeros(2), 1)
-    assert np.array_equal(sigma, cstr_plant.R)
-    assert np.array_equal(yhat, np.zeros(2))
+    yhat, sigma = alg2_predict(aug, belief, np.zeros(2))
+    assert np.array_equal(sigma, np.broadcast_to(cstr_plant.R, (4, 2, 2)))
+    assert np.array_equal(yhat, np.zeros((4, 2)))
 
     scalar_plant = PlantModel(A=[[1.0]], B=[[1.0]], C=[[1.0]], Q=[[1.0]], R=[[0.5]])
     scalar_aug = build_augmented(scalar_plant, LossStrategy.ZERO)
     belief = GaussianBelief([0.0], [[2.0]])
-    for j in scalar_aug.space.modes():
-        _, sigma = alg2_predict(scalar_aug, belief, [0.0], j)
-        assert np.allclose(sigma, [[3.5]])
+    _, sigma = alg2_predict(scalar_aug, belief, [0.0])
+    assert np.allclose(sigma, [[[3.5]], [[3.5]]])
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +349,7 @@ def test_alg2_known_mode_consistency(cstr_plant, cstr_chain):
     """With the decision forced to the true mode, the internal filter is
     exactly the Kalman filter run on the true mode sequence."""
     aug = build_augmented(cstr_plant, LossStrategy.HOLD)
+    a_tab, b_tab = aug.mode_tables
     rng = np.random.default_rng(40)
     steps = 40
     thetas = rng.integers(1, 5, size=steps)
@@ -350,7 +364,7 @@ def test_alg2_known_mode_consistency(cstr_plant, cstr_chain):
     for k in range(1, steps + 1):
         j = int(thetas[k - 1])
         res = est.step(u[k], y[k], force_mode=j)
-        belief = kf_step(aug.A_of(j), aug.B_of(j), aug.C, aug.Q, aug.R,
+        belief = kf_step(a_tab[j - 1], b_tab[j - 1], aug.C, aug.Q, aug.R,
                          belief, u[k - 1], y[k])
         assert np.array_equal(res.state, belief.mean)
         assert np.array_equal(est.belief.cov, belief.cov)
@@ -374,6 +388,7 @@ def test_imm_no_mixing_reduces_to_single_kf(cstr_plant):
     """Identity chain plus a point-mass prior keeps one filter active and
     reproduces it exactly."""
     aug = build_augmented(cstr_plant, LossStrategy.HOLD)
+    a_tab, b_tab = aug.mode_tables
     chain = TransitionMatrix(np.eye(4))
     mode = 3
     prior = np.zeros(4)
@@ -389,7 +404,7 @@ def test_imm_no_mixing_reduces_to_single_kf(cstr_plant):
         u = rng.normal(size=2)
         y = rng.normal(size=2)
         res = est.step(u, y)
-        belief = kf_step(aug.A_of(mode), aug.B_of(mode), aug.C, aug.Q, aug.R,
+        belief = kf_step(a_tab[mode - 1], b_tab[mode - 1], aug.C, aug.Q, aug.R,
                          belief, u_prev, y)
         u_prev = u
         assert res.mode == mode
@@ -437,3 +452,111 @@ def test_estimator_health_on_benchmark_trial(cstr_plant, cstr_chain):
                 beliefs = [est.belief]
             for belief in beliefs:
                 belief.validate()
+
+
+# ---------------------------------------------------------------------------
+# Batched candidate scoring against per-candidate references
+# ---------------------------------------------------------------------------
+
+def _zero_strategy_16_mode_trial(seed):
+    """A stable 4-state plant behind four lossy links (s = 16), zero strategy."""
+    rng = np.random.default_rng(4)
+    A = rng.normal(size=(4, 4))
+    A *= 0.9 / np.max(np.abs(np.linalg.eigvals(A)))
+    plant = PlantModel(A=A, B=0.5 * rng.normal(size=(4, 4)), C=np.eye(4),
+                       Q=np.zeros((4, 4)), R=2.5e-3 * np.eye(4))
+    return TrialConfig(
+        plant=plant, strategy=LossStrategy.ZERO,
+        chain=kron_compose([LinkChain(CSTR_LINK)] * 4), steps=40,
+        x0=np.zeros(4), est_x0=np.zeros(4), est_P0=0.1 * np.eye(4),
+        input_std=10.0, seed=seed,
+    )
+
+
+def _cstr5_trial(seed):
+    from ncsmode.cli import load_config
+
+    return dataclasses.replace(load_config("cstr5").trial, steps=40, seed=seed)
+
+
+def _cstr5_unreachable_mode_trial(seed):
+    """cstr5 with a chain that never enters the all-loss mode: IMM's filter
+    for it is an unreachable mixing target from the first step on."""
+    P = BENCHMARK_TRANSITION.copy()
+    P[:, 3] += P[:, 0]
+    P[:, 0] = 0.0
+    return dataclasses.replace(_cstr5_trial(seed), chain=TransitionMatrix(P))
+
+
+def _rel_close(actual, expected, tol=1e-9):
+    expected = np.asarray(expected)
+    return np.max(np.abs(actual - expected)) <= tol * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "make_trial", [_cstr5_trial, _cstr5_unreachable_mode_trial, _zero_strategy_16_mode_trial]
+)
+def test_batched_scoring_matches_per_candidate_reference(make_trial, seed):
+    """From the same pre-step state, every estimator step reproduces the
+    candidate-by-candidate reference: identical mode decisions,
+    bit-identical alg1/alg2 likelihoods and states, and IMM within 1e-9
+    relative (its mixing and combination sums run in another order)."""
+    cfg = make_trial(seed)
+    rec = simulate_trial(cfg, ())
+    aug = build_augmented(cfg.plant, cfg.strategy)
+    arma = ss_to_arma(cfg.plant)
+    P, s, n, floor = cfg.chain.P, aug.space.s, cfg.plant.n, DEFAULT_HELD_COV_FLOOR
+    gate = chi2_upper_quantile(cfg.plant.m, DEFAULT_GATE_PVALUE)
+    init = dict(prior=cfg.est_prior, x0=cfg.est_x0, P0=cfg.est_P0)
+    alg1 = Alg1Estimator(arma, cfg.strategy, cfg.chain, prior=cfg.est_prior,
+                         kf_model=aug, kf_x0=cfg.est_x0, kf_P0=cfg.est_P0)
+    alg2 = Alg2Estimator(aug, cfg.chain, **init)
+    imm = ImmEstimator(aug, cfg.chain, **init)
+    for est in (alg1, alg2, imm):
+        est.start(rec.u[0], rec.y[0])
+
+    a_tab, b_tab = aug.mode_tables
+
+    def decided_cycle(belief, mode, u_prev, y):
+        mean, cov = kalman_cycle(a_tab[mode - 1], b_tab[mode - 1], aug.C, aug.Q, aug.R,
+                                 belief.mean, belief.cov, u_prev, y)
+        return mean, floor_held(cov, n, floor)
+
+    gated = 0
+    for k in range(1, cfg.steps + 1):
+        u, y = rec.u[k], rec.y[k]
+
+        loglik, maha = alg1_scores(arma, cfg.strategy, alg1.space, y, alg1._y_hist,
+                                   alg1._u_hist, alg1._uhat_hist, alg1._mode_hist)
+        if maha.min() > gate:
+            gated += 1
+            _, mode = bayes_decision(alg1.posterior, np.zeros(s), P)
+        else:
+            _, mode = bayes_decision(alg1.posterior, loglik, P)
+        mean, cov = decided_cycle(alg1.belief, mode, alg1._u_hist[0], y)
+        res = alg1.step(u, y)
+        assert np.array_equal(res.loglik, loglik)
+        assert res.mode == mode
+        assert np.array_equal(res.state, mean) and np.array_equal(alg1.belief.cov, cov)
+
+        loglik = alg2_scores(aug, alg2.belief.mean, alg2.belief.cov, alg2._last_u, y)
+        _, mode = bayes_decision(alg2.posterior, loglik, P)
+        mean, cov = decided_cycle(alg2.belief, mode, alg2._last_u, y)
+        res = alg2.step(u, y)
+        assert np.array_equal(res.loglik, loglik)
+        assert res.mode == mode
+        assert np.array_equal(res.state, mean) and np.array_equal(alg2.belief.cov, cov)
+
+        loglik, post, means, covs, combined = imm_cycle(
+            aug, P, imm.posterior, [b.mean for b in imm.beliefs],
+            [b.cov for b in imm.beliefs], imm._last_u, y, floor,
+        )
+        res = imm.step(u, y)
+        assert res.mode == int(np.argmax(post)) + 1
+        assert _rel_close(res.loglik, loglik)
+        assert _rel_close(res.posterior, post)
+        assert _rel_close(res.state, combined)
+        for belief, mean, cov in zip(imm.beliefs, means, covs):
+            assert _rel_close(belief.mean, mean) and _rel_close(belief.cov, cov)
+    assert gated < cfg.steps  # the likelihood path ran, not only the gate

@@ -10,7 +10,6 @@ from ncsmode.model import (
     UnsupportedConversionError,
     apply_loss,
     build_augmented,
-    gamma_of_mode,
     ss_to_arma,
 )
 from oracles import simulate_arma, simulate_state_space
@@ -41,21 +40,24 @@ def test_mode_space_rejects_bad_index():
 
 
 def test_gamma_examples():
+    """Gamma(j) = diag(flags[j-1]) selects the channels delivered in mode j."""
     space = ModeSpace(2)
-    assert np.array_equal(gamma_of_mode(space.s, space), np.eye(2))
-    assert np.array_equal(gamma_of_mode(1, space), np.zeros((2, 2)))
+    assert np.array_equal(np.diag(space.flags[space.s - 1]), np.eye(2))
+    assert np.array_equal(np.diag(space.flags[0]), np.zeros((2, 2)))
     j = space.encode([1, 0])
-    assert np.array_equal(gamma_of_mode(j, space), np.diag([1.0, 0.0]))
+    assert np.array_equal(np.diag(space.flags[j - 1]), np.diag([1.0, 0.0]))
 
 
 def test_gamma_idempotent_diagonal():
-    for r in (1, 2, 3, 4):
+    """The flag table holds 0/1 entries only, so every Gamma(j) is an
+    idempotent diagonal; row j-1 is decode(j), and the table is read-only."""
+    for r in (0, 1, 2, 3, 4):
         space = ModeSpace(r)
+        assert space.flags.shape == (space.s, r)
+        assert set(space.flags.ravel()) <= {0.0, 1.0}
+        assert not space.flags.flags.writeable
         for j in space.modes():
-            gam = gamma_of_mode(j, space)
-            assert np.array_equal(gam @ gam, gam)
-            assert np.array_equal(gam, np.diag(np.diag(gam)))
-            assert set(np.diag(gam)) <= {0.0, 1.0}
+            assert np.array_equal(space.flags[j - 1], space.decode(j))
 
 
 def test_apply_loss_examples():
@@ -100,15 +102,16 @@ def test_build_augmented_hold_blocks(cstr_plant):
     aug = build_augmented(cstr_plant, LossStrategy.HOLD)
     n, r = cstr_plant.n, cstr_plant.r
     assert aug.state_dim == 4
-    a_full = aug.A_of(aug.space.s)
+    a_tab, b_tab = aug.mode_tables
+    a_full = a_tab[aug.space.s - 1]
     assert np.array_equal(a_full[:n, :n], cstr_plant.A)
     assert np.array_equal(a_full[:n, n:], np.zeros((n, r)))
     assert np.array_equal(a_full[n:, n:], np.zeros((r, r)))
-    assert np.array_equal(aug.B_of(aug.space.s), np.vstack([cstr_plant.B, np.eye(r)]))
-    a_loss = aug.A_of(1)
+    assert np.array_equal(b_tab[aug.space.s - 1], np.vstack([cstr_plant.B, np.eye(r)]))
+    a_loss = a_tab[0]
     assert np.array_equal(a_loss[:n, n:], cstr_plant.B)
     assert np.array_equal(a_loss[n:, n:], np.eye(r))
-    assert np.array_equal(aug.B_of(1), np.zeros((n + r, r)))
+    assert np.array_equal(b_tab[0], np.zeros((n + r, r)))
     assert np.array_equal(aug.C, np.hstack([np.eye(2), np.zeros((2, 2))]))
     assert np.array_equal(aug.Q, np.zeros((4, 4)))
 
@@ -116,10 +119,12 @@ def test_build_augmented_hold_blocks(cstr_plant):
 def test_build_augmented_zero(cstr_plant):
     aug = build_augmented(cstr_plant, LossStrategy.ZERO)
     assert aug.state_dim == 2
-    assert np.array_equal(aug.A_of(1), cstr_plant.A)
-    assert np.array_equal(aug.A_of(4), cstr_plant.A)
+    a_tab, b_tab = aug.mode_tables
+    assert a_tab.shape == (4, 2, 2) and b_tab.shape == (4, 2, 2)
+    assert np.array_equal(a_tab[0], cstr_plant.A)
+    assert np.array_equal(a_tab[3], cstr_plant.A)
     j = aug.space.encode([1, 0])
-    assert np.array_equal(aug.B_of(j), cstr_plant.B @ np.diag([1.0, 0.0]))
+    assert np.array_equal(b_tab[j - 1], cstr_plant.B @ np.diag([1.0, 0.0]))
 
 
 def test_augmented_initial_state(cstr_plant):

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from ncsmode.cli import load_config
 from ncsmode.markov import TransitionMatrix
 from ncsmode.model import LossStrategy, PlantModel
+import ncsmode.sim as sim
 from ncsmode.sim import (
+    ESTIMATOR_KEYS,
     TrialConfig,
     derive_trial_seed,
     replay_estimators,
@@ -166,3 +169,27 @@ def test_config_validation_errors(preset_trial):
         dataclasses.replace(preset_trial, input_std=None)
     with pytest.raises(ValueError):
         dataclasses.replace(preset_trial, initial_mode=9)
+
+
+def test_trial_builds_each_model_once(preset_trial, monkeypatch):
+    """One augmented model per trial, shared by truth and estimators; the
+    input-output form only when alg1 runs."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sim, "build_augmented", counted("augmented", sim.build_augmented))
+    monkeypatch.setattr(sim, "ss_to_arma", counted("arma", sim.ss_to_arma))
+    cfg = dataclasses.replace(preset_trial, steps=3, seed=2)
+    simulate_trial(cfg, ())
+    assert calls == {"augmented": 1}
+    calls.clear()
+    simulate_trial(cfg, ("alg2", "imm"))
+    assert calls == {"augmented": 1}
+    calls.clear()
+    simulate_trial(cfg, ESTIMATOR_KEYS)
+    assert calls == {"augmented": 1, "arma": 1}
