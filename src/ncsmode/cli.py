@@ -143,12 +143,17 @@ def _matrix(data, name: str) -> np.ndarray:
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and fully validate an experiment config from a plain dict.
 
-    An unknown key is rejected by name rather than silently ignored.
+    An unknown key is rejected by name rather than silently ignored, and so
+    is a top level or a section that is not an object.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"the config must be a JSON object, not {type(data).__name__}")
     parts = [("", data, cstr5_config())]
     parts += [(f"{name}: ", data.get(name), keys) for name, keys in _SECTION_KEYS.items()]
     for where, part, known in parts:
-        unknown = sorted(set(part) - set(known)) if isinstance(part, dict) else None
+        if part is not None and not isinstance(part, dict):
+            raise ValueError(f"{where}must be an object, not {type(part).__name__}")
+        unknown = sorted(set(part or ()) - set(known))
         if unknown:
             raise ValueError(f"{where}unknown key(s) {', '.join(map(repr, unknown))}")
     with _field("plant"):
@@ -177,7 +182,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     with _field("strategy"):
         strategy = LossStrategy(data.get("strategy", "hold"))
 
-    cdata = data.get("chain", {})
+    cdata = data.get("chain") or {}
     with _field("chain"):
         if "matrix" in cdata and cdata["matrix"] is not None:
             chain = TransitionMatrix(np.array(cdata["matrix"], dtype=float))
@@ -190,7 +195,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     with _field("steps"):
         steps = int(data.get("steps", 100))
 
-    idata = data.get("input", {})
+    idata = data.get("input") or {}
     input_std = None
     input_sequence = None
     with _field("input"):

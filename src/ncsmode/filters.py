@@ -430,6 +430,17 @@ def _initial_probs(prior, s: int) -> np.ndarray:
     return ModePosterior(probs).probs.copy()
 
 
+def _step_signals(key: str, u, y, force_mode=None, s: int = 0):
+    """A step's (u, y) as flat float vectors, checked finite; a forced mode
+    must name one of the s modes."""
+    if force_mode is not None and not 1 <= force_mode <= s:
+        raise ValueError(f"force_mode {force_mode} outside 1..{s}")
+    u = np.asarray(u, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    _require_finite(f"{key} step inputs", u, y)
+    return u, y
+
+
 class Alg1Estimator:
     """Loss-mode estimator driven by the plant's input-output recursion.
 
@@ -511,9 +522,7 @@ class Alg1Estimator:
         later), ``y`` the current measurement. ``force_mode`` substitutes an
         externally known mode for the argmax decision (diagnostics).
         """
-        u = np.asarray(u, dtype=float).reshape(-1)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        _require_finite("alg1 step inputs", u, y)
+        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
 
         yhat = alg1_predict_output(
             self.arma, self.strategy, self.space,
@@ -595,9 +604,7 @@ class Alg2Estimator:
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        u = np.asarray(u, dtype=float).reshape(-1)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        _require_finite("alg2 step inputs", u, y)
+        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
 
         yhat, sigma = alg2_predict(self.aug, self._belief, self._last_u)
         chol = _cholesky(sigma)
@@ -663,9 +670,7 @@ class ImmEstimator:
     def step(self, u, y) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        u = np.asarray(u, dtype=float).reshape(-1)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        _require_finite("imm step inputs", u, y)
+        u, y = _step_signals(self.key, u, y)
 
         # mixing weights W[j, i] = P[i, j] mu_i / prior_j of filter i into
         # filter j; an unreachable target (prior_j = 0) keeps its own state

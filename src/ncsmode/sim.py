@@ -1,9 +1,11 @@
-"""Seeded closed-loop simulation of a plant driven through lossy links.
+"""Seeded simulation of a plant driven through lossy links.
 
-Each trial propagates the true plant with a sampled mode sequence, white
-noise and white excitation inputs, and runs the selected estimators in
-lockstep on exactly the signals a controller would see: the issued inputs
-and the measured outputs. Truth and estimators never share anything else.
+A trial runs in two halves. The truth half propagates the true plant over
+all steps with a sampled mode sequence, white noise and white excitation
+inputs. The estimator half then runs the selected estimators in lockstep on
+exactly the signals a controller would see: the issued inputs and the
+measured outputs. :func:`replay_estimators` runs the same estimator loop on
+recorded signals, so the estimators read only ``(u, y)`` by construction.
 
 Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
@@ -201,13 +203,9 @@ def _build_estimators(cfg: TrialConfig, names, aug) -> dict:
                 kf_model=aug, kf_x0=cfg.est_x0, kf_P0=cfg.est_P0,
                 held_cov_floor=floor,
             )
-        elif name == "alg2":
-            est[name] = Alg2Estimator(
-                aug, cfg.chain, prior=cfg.est_prior, x0=cfg.est_x0, P0=cfg.est_P0,
-                held_cov_floor=floor,
-            )
-        elif name == "imm":
-            est[name] = ImmEstimator(
+        elif name in ("alg2", "imm"):
+            cls = Alg2Estimator if name == "alg2" else ImmEstimator
+            est[name] = cls(
                 aug, cfg.chain, prior=cfg.est_prior, x0=cfg.est_x0, P0=cfg.est_P0,
                 held_cov_floor=floor,
             )
@@ -216,39 +214,32 @@ def _build_estimators(cfg: TrialConfig, names, aug) -> dict:
     return est
 
 
-def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRecord:
-    """Run one seeded trial and return its record.
-
-    The truth propagates through the mode-parameterized state-space model;
-    estimators observe only (u_k, y_k). An estimator numerical failure marks
-    the record failed with the step index instead of raising.
-    """
-    names = tuple(estimator_names)
+def _simulate_truth(cfg: TrialConfig, aug):
+    """Draw the modes, noise and inputs and propagate the plant over all
+    steps; returns (true_modes, true_states, y, u, u_applied) aligned as in a
+    TrialRecord. Each stream is drawn in step order."""
     plant = cfg.plant
-    aug = build_augmented(plant, cfg.strategy)
     n, m, r = plant.n, plant.m, plant.r
     nsteps = cfg.steps
 
     seq = np.random.SeedSequence(cfg.seed)
     mode_rng, w_rng, v_rng, u_rng = (np.random.default_rng(s) for s in seq.spawn(4))
 
-    chol_q = _psd_factor(plant.Q)
-    chol_r = _psd_factor(plant.R)
-
-    def draw_u(k: int) -> np.ndarray:
-        if cfg.input_sequence is not None:
-            return cfg.input_sequence[k].copy()
-        return cfg.input_std * u_rng.standard_normal(r)
-
-    def draw_v() -> np.ndarray:
-        if chol_r is None:
-            return np.zeros(m)
-        return chol_r @ v_rng.standard_normal(m)
-
     x0 = cfg.x0
     if cfg.resample_x0:
         x0 = x0 + cfg.x0_std * w_rng.standard_normal(n)
     state = aug.initial_state(x0, cfg.u_init_applied)
+
+    # no draws for a zero noise covariance
+    chol_q = _psd_factor(plant.Q)
+    chol_r = _psd_factor(plant.R)
+    w = None if chol_q is None else [chol_q @ e for e in w_rng.standard_normal((nsteps, n))]
+    v = [np.zeros(m)] * (nsteps + 1) if chol_r is None else [
+        chol_r @ e for e in v_rng.standard_normal((nsteps + 1, m))]
+    if cfg.input_sequence is not None:
+        us = cfg.input_sequence.copy()
+    else:
+        us = cfg.input_std * u_rng.standard_normal((nsteps + 1, r))
 
     if cfg.initial_mode is not None:
         theta = cfg.initial_mode
@@ -259,44 +250,19 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
                     cfg.chain.s - 1) + 1
 
     true_modes = np.zeros(nsteps, dtype=int)
-    est_modes = {name: np.zeros(nsteps, dtype=int) for name in names}
     true_states = np.zeros((nsteps + 1, n))
-    est_states = {name: np.zeros((nsteps, n)) for name in names}
     ys = np.zeros((nsteps + 1, m))
-    us = np.zeros((nsteps + 1, r))
     u_applied = np.zeros((nsteps, r))
-    fallbacks = {name: np.zeros(nsteps, dtype=bool) for name in names}
-
-    record = TrialRecord(
-        steps=nsteps, estimators=names, true_modes=true_modes, est_modes=est_modes,
-        true_states=true_states, est_states=est_states, y=ys, u=us,
-        u_applied=u_applied, fallbacks=fallbacks, seed=cfg.seed,
-    )
-
     true_modes[0] = theta
     true_states[0] = state[:n]
-    ys[0] = plant.C @ state[:n] + draw_v()
-    us[0] = draw_u(0)
-
-    try:
-        estimators = _build_estimators(cfg, names, aug)
-        for est in estimators.values():
-            est.start(us[0], ys[0])
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        record.failed = True
-        record.fail_step = 0
-        record.fail_reason = str(exc)
-        return record
+    ys[0] = plant.C @ state[:n] + v[0]
 
     a_tab, b_tab = aug.mode_tables
-
     for k in range(1, nsteps + 1):
         th_prev = true_modes[k - 1]
         state = a_tab[th_prev - 1] @ state + b_tab[th_prev - 1] @ us[k - 1]
-        if chol_q is not None:
-            state = state + np.concatenate(
-                [chol_q @ w_rng.standard_normal(n), np.zeros(state.shape[0] - n)]
-            )
+        if w is not None:
+            state = state + np.concatenate([w[k - 1], np.zeros(state.shape[0] - n)])
         true_states[k] = state[:n]
         if cfg.strategy is LossStrategy.HOLD:
             u_applied[k - 1] = state[n:]
@@ -304,23 +270,55 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
             u_applied[k - 1] = aug.space.flags[th_prev - 1] * us[k - 1]
         if k < nsteps:
             true_modes[k] = sample_next(cfg.chain, th_prev, mode_rng)
-        ys[k] = plant.C @ state[:n] + draw_v()
-        us[k] = draw_u(k)
+        ys[k] = plant.C @ state[:n] + v[k]
+    return true_modes, true_states, ys, us, u_applied
 
-        for name, est in estimators.items():
-            try:
-                res = est.step(us[k], ys[k])
-            except (NumericalError, np.linalg.LinAlgError) as exc:
-                record.failed = True
-                record.fail_step = k
-                record.fail_reason = f"{name}: {exc}"
-                return record
-            est_modes[name][k - 1] = res.mode
-            if res.state is not None:
-                est_states[name][k - 1] = res.state[:n]
-            fallbacks[name][k - 1] = res.fallback
 
-    return record
+def _run_estimators(cfg: TrialConfig, names, aug, u: np.ndarray, y: np.ndarray):
+    """Start the estimators on (u_0, y_0), then step them in lockstep on
+    (u_k, y_k), k = 1..N, in selection order. Returns per-name modes, states
+    and fallbacks aligned as in a TrialRecord (filled up to a failure) and
+    None or the first numerical failure as (step, reason, exception)."""
+    nsteps, n = u.shape[0] - 1, cfg.plant.n
+    modes = {name: np.zeros(nsteps, dtype=int) for name in names}
+    states = {name: np.zeros((nsteps, n)) for name in names}
+    fallbacks = {name: np.zeros(nsteps, dtype=bool) for name in names}
+    k = 0
+    try:
+        estimators = _build_estimators(cfg, names, aug)
+        for est in estimators.values():
+            est.start(u[0], y[0])
+        for k in range(1, nsteps + 1):
+            for name, est in estimators.items():
+                res = est.step(u[k], y[k])
+                modes[name][k - 1] = res.mode
+                if res.state is not None:
+                    states[name][k - 1] = res.state[:n]
+                fallbacks[name][k - 1] = res.fallback
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return modes, states, fallbacks, (k, f"{name}: {exc}" if k else str(exc), exc)
+    return modes, states, fallbacks, None
+
+
+def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRecord:
+    """Run one seeded trial and return its record.
+
+    The truth is generated first, through the mode-parameterized state-space
+    model; the estimators then run on nothing but its (u_k, y_k). An
+    estimator numerical failure marks the record failed with the step index
+    instead of raising; the truth arrays stay complete.
+    """
+    names = tuple(estimator_names)
+    aug = build_augmented(cfg.plant, cfg.strategy)
+    true_modes, true_states, y, u, u_applied = _simulate_truth(cfg, aug)
+    est_modes, est_states, fallbacks, failure = _run_estimators(cfg, names, aug, u, y)
+    fail_step, fail_reason, _ = failure or (None, None, None)
+    return TrialRecord(
+        steps=cfg.steps, estimators=names, true_modes=true_modes, est_modes=est_modes,
+        true_states=true_states, est_states=est_states, y=y, u=u,
+        u_applied=u_applied, fallbacks=fallbacks, seed=cfg.seed,
+        failed=failure is not None, fail_step=fail_step, fail_reason=fail_reason,
+    )
 
 
 def _simulate_star(args) -> TrialRecord:
@@ -361,27 +359,16 @@ def replay_estimators(cfg: TrialConfig, estimator_names, u: np.ndarray, y: np.nd
     """Re-run estimators offline on recorded (u, y) signals.
 
     Returns {name: (modes, states, fallbacks)} with the same alignment as a
-    TrialRecord. Since this touches nothing but the signals, matching an
-    in-simulation record verifies the estimators read no hidden truth.
+    TrialRecord. It runs the estimator loop of :func:`simulate_trial`, so it
+    reproduces an in-simulation record exactly; a numerical failure raises.
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
     if u.shape[0] != y.shape[0]:
         raise ValueError("u and y must cover the same steps")
-    nsteps = u.shape[0] - 1
+    names = tuple(estimator_names)
     aug = build_augmented(cfg.plant, cfg.strategy)
-    estimators = _build_estimators(cfg, tuple(estimator_names), aug)
-    out = {}
-    for name, est in estimators.items():
-        est.start(u[0], y[0])
-        modes = np.zeros(nsteps, dtype=int)
-        states = np.zeros((nsteps, cfg.plant.n))
-        flags = np.zeros(nsteps, dtype=bool)
-        for k in range(1, nsteps + 1):
-            res = est.step(u[k], y[k])
-            modes[k - 1] = res.mode
-            if res.state is not None:
-                states[k - 1] = res.state[: cfg.plant.n]
-            flags[k - 1] = res.fallback
-        out[name] = (modes, states, flags)
-    return out
+    modes, states, fallbacks, failure = _run_estimators(cfg, names, aug, u, y)
+    if failure is not None:
+        raise failure[2]
+    return {name: (modes[name], states[name], fallbacks[name]) for name in names}

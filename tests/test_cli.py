@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncsmode.cli import (
+    _fit_est_init,
     config_from_dict,
     config_to_dict,
     cstr5_config,
@@ -166,6 +167,53 @@ def test_bad_config_exit_code(tmp_path, capsys):
     args = ["run", "--config", str(path), "--out", str(tmp_path)]
     assert main(args) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, value",
+    [(None, [1, 2]), ("plant", [1]), ("chain", 3), ("input", 5),
+     ("estimator_init", [1]), ("arma", [1])],
+)
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, section, value):
+    data = cstr5_config()
+    if section is None:
+        data = value
+    else:
+        data[section] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert ("JSON object" if section is None else f"{section}: must be an object") in err
+
+
+def test_fit_est_init_resizes_for_a_strategy_override():
+    x0 = np.array([1.0, 2.0, 3.0, 4.0])
+    p0 = np.arange(16.0).reshape(4, 4)
+    x2, p2 = _fit_est_init(x0, p0, 2)
+    assert np.array_equal(x2, [1.0, 2.0])
+    assert np.array_equal(p2, p0[:2, :2])
+
+    small = np.array([[0.2, 0.05], [0.05, 0.4]])
+    x4, p4 = _fit_est_init(np.array([1.0, 2.0]), small, 4)
+    assert np.array_equal(x4, [1.0, 2.0, 0.0, 0.0])
+    fill = np.mean(np.diag(small))
+    expected = np.diag([0.0, 0.0, fill, fill])
+    expected[:2, :2] = small
+    assert np.array_equal(p4, expected)
+
+
+def test_strategy_override_from_zero_to_hold(tmp_path):
+    """The hold-to-zero direction runs in the estimator-subset test above."""
+    data = cstr5_config()
+    data["strategy"] = "zero"
+    data["estimator_init"] = {"x0": [0.0, 0.0], "P0": [[0.1, 0.0], [0.0, 0.2]]}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(data))
+    args = ["run", "--config", str(path), "--strategy", "hold", "--trials", "3",
+            "--steps", "12", "--seed", "7", "--out", str(tmp_path)]
+    assert main(args) == 0
 
 
 def test_explicit_arma_section_is_used(tmp_path):

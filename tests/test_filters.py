@@ -370,6 +370,21 @@ def test_alg2_known_mode_consistency(cstr_plant, cstr_chain):
         assert np.array_equal(est.belief.cov, belief.cov)
 
 
+@pytest.mark.parametrize("force_mode", [0, 5])
+def test_force_mode_outside_the_modes_rejected(cstr_plant, cstr_chain, force_mode):
+    """Mode 0 would index the last mode's matrices and mode s + 1 none."""
+    aug = build_augmented(cstr_plant, LossStrategy.HOLD)
+    bank = [
+        Alg1Estimator(ss_to_arma(cstr_plant), LossStrategy.HOLD, cstr_chain, kf_model=aug,
+                      kf_x0=np.zeros(4), kf_P0=0.1 * np.eye(4)),
+        Alg2Estimator(aug, cstr_chain, x0=np.zeros(4), P0=0.1 * np.eye(4)),
+    ]
+    for est in bank:
+        est.start(np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match=f"force_mode {force_mode} outside 1..4"):
+            est.step(np.ones(2), np.ones(2), force_mode=force_mode)
+
+
 def test_alg1_mode_only_operation(cstr_plant, cstr_chain):
     """Without a Kalman model the estimator still decides modes and reports
     no state."""

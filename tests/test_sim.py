@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ncsmode.cli import load_config
+from ncsmode.filters import NumericalError
 from ncsmode.markov import TransitionMatrix
 from ncsmode.model import LossStrategy, PlantModel
 import ncsmode.sim as sim
@@ -156,6 +157,35 @@ def test_estimator_failure_marks_trial(preset_trial):
     assert rec.failed
     assert rec.fail_step == 0
     assert rec.fail_reason
+
+
+def test_estimator_failure_mid_trial_keeps_earlier_estimates(preset_trial):
+    """An input of 1e308 at step 5 overflows the plant: alg1, first in
+    selection order, fails at step 6, and every estimate before that step
+    equals an offline replay of the signals up to step 5. The truth stays
+    complete, and a replay of all the signals raises."""
+    useq = np.random.default_rng(3).normal(scale=10.0, size=(21, 2))
+    useq[5] = 1e308
+    cfg = dataclasses.replace(
+        preset_trial, steps=20, input_std=None, input_sequence=useq, seed=4
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = simulate_trial(cfg, ESTIMATOR_KEYS)
+        truth = simulate_trial(cfg, ())
+        with pytest.raises(NumericalError, match="NaN log-likelihood"):
+            replay_estimators(cfg, ESTIMATOR_KEYS, rec.u, rec.y)
+    assert rec.failed
+    assert rec.fail_step == 6
+    assert rec.fail_reason == "alg1: NaN log-likelihood"
+    offline = replay_estimators(cfg, ESTIMATOR_KEYS, rec.u[:6], rec.y[:6])
+    for name in ESTIMATOR_KEYS:
+        modes, states, flags = offline[name]
+        assert np.array_equal(rec.est_modes[name][:5], modes)
+        assert np.array_equal(rec.est_states[name][:5], states)
+        assert np.array_equal(rec.fallbacks[name][:5], flags)
+        assert not rec.est_modes[name][5:].any()
+    for name in ("true_modes", "true_states", "y", "u", "u_applied"):
+        assert np.array_equal(getattr(rec, name), getattr(truth, name), equal_nan=True)
 
 
 def test_config_validation_errors(preset_trial):
