@@ -133,6 +133,27 @@ def cstr5_config() -> dict:
     }
 
 
+# JSON types a top-level scalar may take; booleans are not numbers
+_JSON_TYPES = {
+    "an integer": (int,),
+    "a number": (int, float),
+    "a boolean": (bool,),
+    "a string": (str,),
+}
+
+
+def _scalar(data: dict, key: str, kind: str, default, nullable: bool = False):
+    """The value of ``key`` (``default`` when absent), which must already
+    have the JSON type ``kind``: nothing is coerced."""
+    value = data.get(key, default)
+    if value is None and nullable:
+        return None
+    types = _JSON_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        raise ValueError(f"{key}: expected {kind}, got {value!r}")
+    return value
+
+
 def _matrix(data, name: str) -> np.ndarray:
     with _field(name):
         if data is None:
@@ -144,7 +165,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and fully validate an experiment config from a plain dict.
 
     An unknown key is rejected by name rather than silently ignored, and so
-    is a top level or a section that is not an object.
+    is a top level or a section that is not an object, and a top-level value
+    of the wrong JSON type (integers take integers, not booleans or
+    fractions; switches take booleans; ``estimators`` a list of strings).
     """
     if not isinstance(data, dict):
         raise ValueError(f"the config must be a JSON object, not {type(data).__name__}")
@@ -172,6 +195,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     adata = data.get("arma")
     if adata is not None:
         with _field("arma"):
+            missing = [key for key in _SECTION_KEYS["arma"] if key not in adata]
+            if missing:
+                raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
             arma = ArmaModel(
                 a=np.asarray(adata["a"], dtype=float),
                 b=np.asarray(adata["b"], dtype=float),
@@ -192,8 +218,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         else:
             raise ValueError("give either 'matrix' or 'links'")
 
-    with _field("steps"):
-        steps = int(data.get("steps", 100))
+    steps = _scalar(data, "steps", "an integer", 100)
 
     idata = data.get("input") or {}
     input_std = None
@@ -216,6 +241,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     prior = edata.get("prior", "uniform")
     est_prior = None if isinstance(prior, str) else np.asarray(prior, dtype=float)
 
+    estimators = data.get("estimators", list(ESTIMATOR_KEYS))
+    if not isinstance(estimators, (list, tuple)) or not all(
+        isinstance(name, str) for name in estimators
+    ):
+        raise ValueError(f"estimators: expected a list of strings, got {estimators!r}")
+    initial_mode = _scalar(data, "initial_mode", "an integer", None, nullable=True)
+    resample_x0 = _scalar(data, "resample_x0", "a boolean", False)
+    x0_std = _scalar(data, "x0_std", "a number", 1.0)
+    held_cov_floor = _scalar(data, "held_cov_floor", "a number", None, nullable=True)
+    n_trials = _scalar(data, "trials", "an integer", 100)
+    seed = _scalar(data, "seed", "an integer", None, nullable=True)
+    out = _scalar(data, "out", "a string", "results")
+    emit_steps = _scalar(data, "emit_steps", "a boolean", False)
+    hist_bin_width = _scalar(data, "hist_bin_width", "a number", 2.0)
+
     with _field("trial"):
         trial = TrialConfig(
             plant=plant,
@@ -234,25 +274,21 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             ),
             est_prior=est_prior,
             arma=arma,
-            initial_mode=data.get("initial_mode"),
-            resample_x0=bool(data.get("resample_x0", False)),
-            x0_std=float(data.get("x0_std", 1.0)),
-            held_cov_floor=(
-                None
-                if data.get("held_cov_floor") is None
-                else float(data["held_cov_floor"])
-            ),
+            initial_mode=initial_mode,
+            resample_x0=resample_x0,
+            x0_std=float(x0_std),
+            held_cov_floor=None if held_cov_floor is None else float(held_cov_floor),
         )
 
     with _field("experiment"):
         return ExperimentConfig(
             trial=trial,
-            estimators=tuple(data.get("estimators", list(ESTIMATOR_KEYS))),
-            n_trials=int(data.get("trials", 100)),
-            seed=None if data.get("seed") is None else int(data.get("seed")),
-            out=str(data.get("out", "results")),
-            emit_steps=bool(data.get("emit_steps", False)),
-            hist_bin_width=float(data.get("hist_bin_width", 2.0)),
+            estimators=tuple(estimators),
+            n_trials=n_trials,
+            seed=seed,
+            out=out,
+            emit_steps=emit_steps,
+            hist_bin_width=float(hist_bin_width),
         )
 
 

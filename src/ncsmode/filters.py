@@ -105,7 +105,7 @@ class NumericalError(ArithmeticError):
     """Raised when a filter step hits non-finite data or a singular covariance."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GaussianBelief:
     """Gaussian state estimate: mean (..., d), covariance (..., d, d); leading
     axes stack independent beliefs."""
@@ -122,6 +122,15 @@ class GaussianBelief:
             )
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
+
+    @classmethod
+    def _of(cls, mean: np.ndarray, cov: np.ndarray) -> GaussianBelief:
+        """A kernel's output: float arrays whose shapes match by construction,
+        so the conversions and the shape check of ``__init__`` are skipped."""
+        belief = object.__new__(cls)
+        object.__setattr__(belief, "mean", mean)
+        object.__setattr__(belief, "cov", cov)
+        return belief
 
     def validate(self) -> None:
         """Check symmetry and near-PSD of the covariance."""
@@ -154,14 +163,16 @@ class ModePosterior:
         return self.probs.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepResult:
     """Per-step estimator diagnostics.
 
     mode is the 1-based estimate of the previous step's mode, state the
     filtered state mean (None for mode-only operation), posterior and
     loglik the full vectors behind the decision, and fallback marks steps
-    where every weighted candidate's density underflowed to zero.
+    whose posterior is the chain-predicted prior instead of a likelihood
+    update: steps where every weighted candidate's density underflowed to
+    zero and, for ``alg1``, steps its chi-square mismatch gate rejected.
     """
 
     mode: int
@@ -173,7 +184,8 @@ class StepResult:
 
 def _require_finite(name: str, *arrays) -> None:
     for arr in arrays:
-        if not np.isfinite(arr).all():
+        # np.isfinite(arr).all() without ndarray.all's Python-level wrapper
+        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
             raise NumericalError(f"non-finite values in {name}")
 
 
@@ -196,7 +208,7 @@ def kf_predict(A, B, Q, belief: GaussianBelief, u_prev) -> GaussianBelief:
     _require_finite("kf_predict inputs", belief.mean, belief.cov, u_prev)
     mean = _mv(A, belief.mean) + _mv(B, u_prev)
     cov = A @ belief.cov @ _t(A) + Q
-    return GaussianBelief(mean, 0.5 * (cov + _t(cov)))
+    return GaussianBelief._of(mean, 0.5 * (cov + _t(cov)))
 
 
 def kf_update(C, R, belief: GaussianBelief, y) -> GaussianBelief:
@@ -206,14 +218,15 @@ def kf_update(C, R, belief: GaussianBelief, y) -> GaussianBelief:
     y = np.asarray(y, dtype=float)
     _require_finite("kf_update inputs", belief.mean, belief.cov, y)
     pred_cov = belief.cov
-    innov_cov = C @ pred_cov @ _t(C) + R
+    c_pred = C @ pred_cov
+    innov_cov = c_pred @ _t(C) + R
     try:
-        gain = _t(np.linalg.solve(innov_cov, C @ pred_cov))
+        gain = _t(np.linalg.solve(innov_cov, c_pred))
     except np.linalg.LinAlgError as exc:
         raise NumericalError("innovation covariance is singular") from exc
     mean = belief.mean + _mv(gain, y - _mv(C, belief.mean))
     cov = pred_cov - gain @ C @ pred_cov
-    return GaussianBelief(mean, 0.5 * (cov + _t(cov)))
+    return GaussianBelief._of(mean, 0.5 * (cov + _t(cov)))
 
 
 def kf_step(A, B, C, Q, R, belief: GaussianBelief, u_prev, y) -> GaussianBelief:
@@ -226,13 +239,14 @@ def floor_held_cov(belief: GaussianBelief, n_phys: int, floor: float) -> Gaussia
     dim = belief.mean.shape[-1]
     if floor <= 0.0 or dim <= n_phys:
         return belief
-    diag = np.diagonal(belief.cov, axis1=-2, axis2=-1)[..., n_phys:]
-    if diag.min() >= floor:
+    diag = belief.cov.diagonal(0, -2, -1)[..., n_phys:]
+    if np.minimum.reduce(diag, axis=None) >= floor:
         return belief
     cov = belief.cov.copy()
-    held = np.arange(n_phys, dim)
-    cov[..., held, held] = np.maximum(diag, floor)
-    return GaussianBelief(belief.mean, cov)
+    # the held diagonal entries as a strided view of the flattened matrices
+    flat = cov.reshape(cov.shape[:-2] + (dim * dim,))
+    flat[..., n_phys * (dim + 1)::dim + 1] = np.maximum(diag, floor)
+    return GaussianBelief._of(belief.mean, cov)
 
 
 def chi2_upper_quantile(dof: int, p: float) -> float:
@@ -256,7 +270,7 @@ def _cholesky(sigma: np.ndarray) -> np.ndarray:
 
 def _log_det_half(chol: np.ndarray):
     """Half the log-determinant of each covariance from its Cholesky factor."""
-    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return np.add.reduce(np.log(chol.diagonal(0, -2, -1)), axis=-1)
 
 
 def _chol_logpdf(diff: np.ndarray, chol: np.ndarray, log_det_half):
@@ -296,7 +310,7 @@ def mode_posterior_update_log(probs_prev, loglik, transition) -> tuple[np.ndarra
     """
     probs_prev = np.asarray(getattr(probs_prev, "probs", probs_prev), dtype=float)
     loglik = np.asarray(loglik, dtype=float).reshape(-1)
-    if np.isnan(loglik).any():
+    if np.logical_or.reduce(np.isnan(loglik), axis=None):
         raise NumericalError("NaN log-likelihood")
     prior = predict_prior(probs_prev, transition)
     if loglik.shape != prior.shape:
@@ -305,11 +319,11 @@ def mode_posterior_update_log(probs_prev, loglik, transition) -> tuple[np.ndarra
         )
     with np.errstate(divide="ignore"):
         logw = loglik + np.log(prior)
-    top = logw.max()
-    if not np.isfinite(top):
+    top = np.maximum.reduce(logw)
+    if not math.isfinite(top):
         return prior.copy(), True
     weights = np.exp(logw - top)
-    return weights / weights.sum(), False
+    return weights / np.add.reduce(weights), False
 
 
 def mode_posterior_update(posterior_prev, likelihoods, transition) -> tuple[ModePosterior, bool]:
@@ -326,7 +340,7 @@ def mode_posterior_update(posterior_prev, likelihoods, transition) -> tuple[Mode
 def mode_argmax(posterior) -> int:
     """Smallest 1-based mode index attaining the maximum probability."""
     probs = np.asarray(getattr(posterior, "probs", posterior), dtype=float)
-    return int(np.argmax(probs)) + 1
+    return int(probs.argmax()) + 1
 
 
 def alg1_const_sigma(arma: ArmaModel) -> np.ndarray:
@@ -362,8 +376,9 @@ def alg1_predict_output(
     for i in range(arma.n_ar):
         yhat -= arma.a[i] * y_hist[i]
     hold = strategy is LossStrategy.HOLD
+    flags = space.flags
     for lag in range(1, arma.p + 1):
-        alpha = space.flags if lag == 1 else space.decode(mode_hist[lag - 2])
+        alpha = flags if lag == 1 else flags[mode_hist[lag - 2] - 1]
         coeff = arma.b[lag - 1]
         yhat += _mv(coeff, alpha * u_hist[lag - 1])
         if hold:
@@ -384,9 +399,8 @@ def alg2_predict(
     """
     u_prev = np.asarray(u_prev, dtype=float)
     ca, cb = aug.output_tables
-    c_mat = aug.C
     yhat = _mv(ca, belief.mean) + _mv(cb, u_prev)
-    sigma = ca @ belief.cov @ _t(ca) + c_mat @ aug.Q @ c_mat.T + aug.R
+    sigma = ca @ belief.cov @ _t(ca) + aug._output_process_cov + aug.R
     return yhat, 0.5 * (sigma + _t(sigma))
 
 
@@ -398,14 +412,14 @@ def _moment_match(weights: np.ndarray, bank: GaussianBelief) -> GaussianBelief:
     diff = bank.mean - mean[..., None, :]
     cov = (weights @ bank.cov.reshape(s, d * d)).reshape(mean.shape + (d,))
     cov += (_t(diff) * weights[..., None, :]) @ diff
-    return GaussianBelief(mean, 0.5 * (cov + _t(cov)))
+    return GaussianBelief._of(mean, 0.5 * (cov + _t(cov)))
 
 
 def _decided_cycle(aug: AugmentedModel, mode: int, belief, u_prev, y, floor) -> GaussianBelief:
     """Kalman cycle on the decided mode's matrices, then the held-input floor."""
     a_tab, b_tab = aug.mode_tables
-    belief = kf_step(a_tab[mode - 1], b_tab[mode - 1], aug.C, aug.Q, aug.R, belief, u_prev, y)
-    return floor_held_cov(belief, aug.plant.n, floor)
+    belief = kf_predict(a_tab[mode - 1], b_tab[mode - 1], aug.Q, belief, u_prev)
+    return floor_held_cov(kf_update(aug.C, aug.R, belief, y), aug.plant.n, floor)
 
 
 def _transition_array(transition, s: int) -> np.ndarray:
@@ -530,7 +544,7 @@ class Alg1Estimator:
         )
         loglik = _chol_logpdf(y - yhat, self._chol, self._log_det_half)
 
-        best_d2 = -2.0 * (loglik.max() + self._log_det_half) - self.arma.m * LOG_2PI
+        best_d2 = -2.0 * (np.maximum.reduce(loglik) + self._log_det_half) - self.arma.m * LOG_2PI
         if best_d2 > self._gate_d2:
             self._probs, fallback = predict_prior(self._probs, self._P), True
         else:
@@ -648,6 +662,7 @@ class ImmEstimator:
         self._held_cov_floor = held_cov_floor
         init, s = _initial_belief(aug.state_dim, x0, P0), self.space.s
         self._bank = GaussianBelief(np.tile(init.mean, (s, 1)), np.tile(init.cov, (s, 1, 1)))
+        self._eye = np.eye(s)
         self._combined: GaussianBelief | None = None
         self._last_u: np.ndarray | None = None
 
@@ -677,7 +692,7 @@ class ImmEstimator:
         prior = predict_prior(self._mu, self._P)
         reach = prior > 0.0
         weights = self._P.T * self._mu / np.where(reach, prior, 1.0)[:, None]
-        weights = np.where(reach[:, None], weights, np.eye(self.space.s))
+        weights = np.where(reach[:, None], weights, self._eye)
         mixed = _moment_match(weights, self._bank)
 
         c_mat, r_mat = self.aug.C, self.aug.R

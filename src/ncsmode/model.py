@@ -344,6 +344,12 @@ class AugmentedModel:
         a_tab, b_tab = self.mode_tables
         return _read_only(self.C @ a_tab), _read_only(self.C @ b_tab)
 
+    @cached_property
+    def _output_process_cov(self) -> np.ndarray:
+        """C Q C^T, the process noise seen at the output: a constant term of
+        every candidate's output-prediction covariance."""
+        return _read_only(self.C @ self.Q @ self.C.T)
+
     def initial_state(self, x0, u_init_applied=None) -> np.ndarray:
         """Full initial state vector from the physical state (and, for hold,
         the input applied before step 0)."""

@@ -188,6 +188,42 @@ def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, section, value):
     assert ("JSON object" if section is None else f"{section}: must be an object") in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("steps", None), ("trials", None), ("x0_std", None), ("hist_bin_width", None),
+     ("estimators", 5), ("estimators", "alg1"), ("estimators", ["alg1", 2]),
+     ("initial_mode", "2"), ("trials", 2.5), ("steps", 100.7), ("seed", True),
+     ("emit_steps", "false"), ("resample_x0", "no"), ("held_cov_floor", "0.1"),
+     ("out", 5), ("arma", {"a": [1.0], "b": [[[1.0]]], "c": [1.0]})],
+)
+def test_config_value_of_the_wrong_type_exits_2(tmp_path, capsys, key, value):
+    """No value is coerced into the type its key takes, and none ends in a
+    traceback: each exits 2 naming the key (for the arma section, the
+    missing one)."""
+    data = cstr5_config()
+    data[key] = value
+    with pytest.raises(ValueError, match=key):
+        config_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{key}: " in err
+    if key == "arma":
+        assert "'lam'" in err
+
+
+def test_config_values_of_the_right_type_load():
+    data = cstr5_config()
+    data.update(steps=7, trials=3, seed=0, x0_std=2, hist_bin_width=1, initial_mode=4,
+                held_cov_floor=0, resample_x0=True, emit_steps=True, out="o")
+    cfg = config_from_dict(data)
+    assert (cfg.trial.steps, cfg.n_trials, cfg.seed, cfg.out) == (7, 3, 0, "o")
+    assert cfg.trial.x0_std == 2.0 and cfg.hist_bin_width == 1.0
+    assert cfg.trial.initial_mode == 4 and cfg.trial.held_cov_floor == 0.0
+    assert cfg.trial.resample_x0 and cfg.emit_steps
+
+
 def test_fit_est_init_resizes_for_a_strategy_override():
     x0 = np.array([1.0, 2.0, 3.0, 4.0])
     p0 = np.arange(16.0).reshape(4, 4)

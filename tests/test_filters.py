@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ from ncsmode.filters import (
     chi2_upper_quantile,
     gaussian_logpdf,
     gaussian_pdf,
+    kf_predict,
     kf_step,
+    kf_update,
     mode_argmax,
     mode_posterior_update,
     mode_posterior_update_log,
@@ -95,10 +98,48 @@ def test_kf_step_known_mode_tracking(cstr_plant, cstr_chain):
     assert rmse < math.sqrt(2.5e-3)
 
 
+def _exactly(message: str) -> str:
+    return f"^{re.escape(message)}$"
+
+
 def test_kf_rejects_non_finite():
     belief = GaussianBelief([0.0], [[1.0]])
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=_exactly("non-finite values in kf_update inputs")):
         kf_step([[1.0]], [[0.0]], [[1.0]], [[0.0]], [[1.0]], belief, [0.0], [np.nan])
+
+
+def _alg2_with_zero_noise_and_certain_state():
+    """Every candidate's output covariance is exactly zero."""
+    plant = PlantModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[0.0]])
+    aug = build_augmented(plant, LossStrategy.ZERO)
+    est = Alg2Estimator(aug, TransitionMatrix([[0.5, 0.5]] * 2), x0=[0.0], P0=[[0.0]])
+    est.start([1.0], [0.0])
+    return est
+
+
+@pytest.mark.parametrize(
+    "fail, error, message",
+    [
+        (lambda: kf_predict([[1.0]], [[0.0]], [[0.0]], GaussianBelief([np.inf], [[1.0]]), [0.0]),
+         NumericalError, "non-finite values in kf_predict inputs"),
+        (lambda: kf_update([[0.0]], [[0.0]], GaussianBelief([0.0], [[1.0]]), [1.0]),
+         NumericalError, "innovation covariance is singular"),
+        (lambda: _alg2_with_zero_noise_and_certain_state().step([1.0], [0.5]),
+         NumericalError, "covariance is not positive definite"),
+        (lambda: mode_posterior_update_log([0.5, 0.5], [0.0, np.nan], np.eye(2)),
+         NumericalError, "NaN log-likelihood"),
+        (lambda: GaussianBelief(np.zeros(2), np.eye(3)),
+         ValueError, "covariance shape (3, 3) does not match mean shape (2,)"),
+    ],
+    ids=["kf_predict-non-finite-belief", "kf_update-singular-innovation",
+         "alg2-non-pd-candidate", "nan-loglik", "mis-shaped-belief"],
+)
+def test_failure_contract(fail, error, message):
+    """The exception type and exact message of each numerical failure (trial
+    records carry the message as their fail_reason), and of a mis-shaped
+    belief built by a caller."""
+    with pytest.raises(error, match=_exactly(message)):
+        fail()
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +166,7 @@ def test_gaussian_logpdf_consistent_with_pdf():
 
 
 def test_gaussian_pdf_singular_sigma_errors():
-    with pytest.raises(NumericalError):
+    with pytest.raises(NumericalError, match=_exactly("covariance is not positive definite")):
         gaussian_logpdf([0.0, 0.0], [0.0, 0.0], np.zeros((2, 2)))
 
 
