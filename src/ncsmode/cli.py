@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import reprlib
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -154,20 +155,48 @@ def _scalar(data: dict, key: str, kind: str, default, nullable: bool = False):
     return value
 
 
-def _matrix(data, name: str) -> np.ndarray:
-    with _field(name):
-        if data is None:
-            raise ValueError("missing matrix")
-        return np.array(data, dtype=float)
+_NUMBER_TYPES = frozenset((int, float))  # by exact type: a boolean is not a number
+_LIST_TYPES = frozenset((list, tuple))
+
+
+def _is_numbers(value) -> bool:
+    """Whether value is a number or a (nested) list of numbers."""
+    if type(value) not in _LIST_TYPES:
+        return type(value) in _NUMBER_TYPES
+    types = set(map(type, value))
+    return types <= _NUMBER_TYPES or (types <= _LIST_TYPES and all(map(_is_numbers, value)))
+
+
+def _get(data: dict, key: str, default):
+    """The value of ``key``, or ``default`` when it is absent or null."""
+    value = data.get(key)
+    return default if value is None else value
+
+
+def _numbers(value, key: str) -> np.ndarray:
+    """A number or a (nested) list of numbers as a float array. Anything
+    else, booleans and numeric strings included, is rejected naming ``key``."""
+    if value is None:
+        raise ValueError(f"{key}: missing")
+    if not _is_numbers(value):
+        raise ValueError(
+            f"{key}: expected a number or a list of numbers, got {reprlib.repr(value)}"
+        )
+    try:
+        return np.array(value, dtype=float)
+    except ValueError as exc:  # a ragged list
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build and fully validate an experiment config from a plain dict.
 
     An unknown key is rejected by name rather than silently ignored, and so
-    is a top level or a section that is not an object, and a top-level value
-    of the wrong JSON type (integers take integers, not booleans or
-    fractions; switches take booleans; ``estimators`` a list of strings).
+    is a top level or a section that is not an object, and a value of the
+    wrong JSON type: integers take integers, not booleans or fractions;
+    switches take booleans; ``estimators`` a list of strings; matrices,
+    vectors and scales a number or a (nested) list of numbers; and
+    ``estimator_init.prior`` ``"uniform"`` or a list of numbers.
     """
     if not isinstance(data, dict):
         raise ValueError(f"the config must be a JSON object, not {type(data).__name__}")
@@ -184,62 +213,64 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         if not isinstance(pdata, dict):
             raise ValueError("missing section")
     plant = PlantModel(
-        A=_matrix(pdata.get("A"), "plant.A"),
-        B=_matrix(pdata.get("B"), "plant.B"),
-        C=_matrix(pdata.get("C"), "plant.C"),
-        Q=_matrix(pdata.get("Q"), "plant.Q"),
-        R=_matrix(pdata.get("R"), "plant.R"),
+        **{key: _numbers(pdata.get(key), f"plant.{key}") for key in _SECTION_KEYS["plant"]}
     )
 
     arma = None
     adata = data.get("arma")
     if adata is not None:
+        missing = [key for key in _SECTION_KEYS["arma"] if key not in adata]
+        if missing:
+            raise ValueError(f"arma: missing key(s) {', '.join(map(repr, missing))}")
+        values = {key: _numbers(adata[key], f"arma.{key}") for key in _SECTION_KEYS["arma"]}
         with _field("arma"):
-            missing = [key for key in _SECTION_KEYS["arma"] if key not in adata]
-            if missing:
-                raise ValueError(f"missing key(s) {', '.join(map(repr, missing))}")
-            arma = ArmaModel(
-                a=np.asarray(adata["a"], dtype=float),
-                b=np.asarray(adata["b"], dtype=float),
-                c=np.asarray(adata["c"], dtype=float),
-                lam=np.asarray(adata["lam"], dtype=float),
-            )
+            arma = ArmaModel(**values)
 
     with _field("strategy"):
         strategy = LossStrategy(data.get("strategy", "hold"))
 
     cdata = data.get("chain") or {}
-    with _field("chain"):
-        if "matrix" in cdata and cdata["matrix"] is not None:
-            chain = TransitionMatrix(np.array(cdata["matrix"], dtype=float))
-        elif "links" in cdata and cdata["links"] is not None:
-            links = [LinkChain(np.array(link, dtype=float)) for link in cdata["links"]]
-            chain = kron_compose(links)
-        else:
-            raise ValueError("give either 'matrix' or 'links'")
+    if cdata.get("matrix") is not None:
+        matrix = _numbers(cdata["matrix"], "chain.matrix")
+        with _field("chain"):
+            chain = TransitionMatrix(matrix)
+    elif cdata.get("links") is not None:
+        links = _numbers(cdata["links"], "chain.links")
+        with _field("chain"):
+            chain = kron_compose([LinkChain(link) for link in links])
+    else:
+        raise ValueError("chain: give either 'matrix' or 'links'")
 
     steps = _scalar(data, "steps", "an integer", 100)
 
     idata = data.get("input") or {}
     input_std = None
     input_sequence = None
-    with _field("input"):
-        if "std" in idata and idata["std"] is not None:
-            input_std = np.asarray(idata["std"], dtype=float)
-        elif "sequence" in idata and idata["sequence"] is not None:
-            input_sequence = np.array(idata["sequence"], dtype=float)
-        else:
-            raise ValueError("give either 'std' or 'sequence'")
+    if idata.get("std") is not None:
+        input_std = _numbers(idata["std"], "input.std")
+    elif idata.get("sequence") is not None:
+        input_sequence = _numbers(idata["sequence"], "input.sequence")
+    else:
+        raise ValueError("input: give either 'std' or 'sequence'")
 
+    # an absent or null initial reads as its default
     aug_dim = plant.n + (plant.r if strategy is LossStrategy.HOLD else 0)
     edata = data.get("estimator_init") or {}
-    est_x0 = np.asarray(edata.get("x0", np.zeros(aug_dim)), dtype=float)
-    p0 = edata.get("P0", 0.1)
-    est_P0 = (
-        float(p0) * np.eye(aug_dim) if np.isscalar(p0) else np.array(p0, dtype=float)
-    )
-    prior = edata.get("prior", "uniform")
-    est_prior = None if isinstance(prior, str) else np.asarray(prior, dtype=float)
+    est_x0 = _numbers(_get(edata, "x0", [0.0] * aug_dim), "estimator_init.x0")
+    p0 = _numbers(_get(edata, "P0", 0.1), "estimator_init.P0")
+    est_P0 = p0 * np.eye(aug_dim) if p0.ndim == 0 else p0
+    prior = _get(edata, "prior", "uniform")
+    if isinstance(prior, (list, tuple)):
+        est_prior = _numbers(prior, "estimator_init.prior")
+    elif prior == "uniform":
+        est_prior = None
+    else:
+        raise ValueError(
+            f"estimator_init.prior: expected \"uniform\" or a list of numbers, got {prior!r}"
+        )
+    x0 = _numbers(_get(data, "x0", [0.0] * plant.n), "x0")
+    u_init = data.get("u_init_applied")
+    u_init = None if u_init is None else _numbers(u_init, "u_init_applied")
 
     estimators = data.get("estimators", list(ESTIMATOR_KEYS))
     if not isinstance(estimators, (list, tuple)) or not all(
@@ -262,16 +293,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             strategy=strategy,
             chain=chain,
             steps=steps,
-            x0=np.asarray(data.get("x0", np.zeros(plant.n)), dtype=float),
+            x0=x0,
             est_x0=est_x0,
             est_P0=est_P0,
             input_std=input_std,
             input_sequence=input_sequence,
-            u_init_applied=(
-                None
-                if data.get("u_init_applied") is None
-                else np.asarray(data["u_init_applied"], dtype=float)
-            ),
+            u_init_applied=u_init,
             est_prior=est_prior,
             arma=arma,
             initial_mode=initial_mode,
@@ -388,18 +415,20 @@ def _write_step_csv(path: Path, record: TrialRecord) -> None:
         "fallback_flags=bitmask(bit i -> estimator i)",
         ",".join(cols),
     ]
-    for k in range(1, record.steps + 1):
-        row = [str(k), str(record.true_modes[k - 1])]
-        row += [str(record.est_modes[name][k - 1]) for name in names]
-        row += [_fmt(v) for v in record.true_states[k]]
-        for name in names:
-            row += [_fmt(v) for v in record.est_states[name][k - 1]]
-        row += [_fmt(v) for v in record.y[k]]
-        row += [_fmt(v) for v in record.u[k]]
-        flags = sum(
-            int(record.fallbacks[name][k - 1]) << i for i, name in enumerate(names)
-        )
-        row.append(str(flags))
+    # rows k = 1..N as Python ints and floats, which format faster than
+    # numpy scalars and to the same text
+    modes = np.column_stack([record.true_modes, *(record.est_modes[name] for name in names)])
+    reals = np.hstack([
+        record.true_states[1:], *(record.est_states[name] for name in names),
+        record.y[1:], record.u[1:],
+    ])
+    flags = np.zeros(record.steps, dtype=int)
+    for i, name in enumerate(names):
+        flags |= record.fallbacks[name].astype(int) << i
+    for k, (mode_row, real_row, flag) in enumerate(
+        zip(modes.tolist(), reals.tolist(), flags.tolist()), start=1
+    ):
+        row = [str(k), *map(str, mode_row), *map(_fmt, real_row), str(flag)]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -411,14 +440,11 @@ def _write_series_csv(path: Path, record: TrialRecord, name: str) -> None:
     cols += [f"xhat{i + 1}" for i in range(n)]
     cols += [f"err{i + 1}" for i in range(n)]
     lines = [",".join(cols)]
-    for k in range(1, record.steps + 1):
-        x = record.true_states[k]
-        xh = record.est_states[name][k - 1]
-        row = [str(k), str(record.true_modes[k - 1]), str(record.est_modes[name][k - 1])]
-        row += [_fmt(v) for v in x]
-        row += [_fmt(v) for v in xh]
-        row += [_fmt(v) for v in (x - xh)]
-        lines.append(",".join(row))
+    x, xh = record.true_states[1:], record.est_states[name]
+    modes = np.column_stack([record.true_modes, record.est_modes[name]])
+    reals = np.hstack([x, xh, x - xh])
+    for k, (mode_row, real_row) in enumerate(zip(modes.tolist(), reals.tolist()), start=1):
+        lines.append(",".join([str(k), *map(str, mode_row), *map(_fmt, real_row)]))
     path.write_text("\n".join(lines) + "\n")
 
 

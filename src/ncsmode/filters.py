@@ -22,8 +22,10 @@ the mode tables ``A(j)``, ``B(j)`` are (s, d, d) and (s, d, r), candidate
 output predictions (s, m) with covariances (s, m, m), and the IMM bank's
 beliefs (s, d) means with (s, d, d) covariances. The Kalman kernels
 (``kf_predict``, ``kf_update``, ``floor_held_cov``) and ``GaussianBelief``
-broadcast over such leading axes, so the decided-mode filter of ``alg1`` and
-``alg2`` (no batch axis) and the IMM bank (batch axis s) run the same code.
+broadcast over such leading axes. Estimators stepped together form a bank
+whose Kalman cycle runs once per step on the stacked rows of all of them:
+the decided mode of ``alg1`` and of ``alg2`` and the s filters of ``imm``
+(``_bank_step``; an estimator's own ``step`` is a bank of one).
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -38,7 +40,10 @@ robustness devices keep the recursions healthy on top of that:
   the hold-strategy recursion memory re-anchors to the issued inputs, the
   only signals the estimator knows exactly. Without the re-anchor a stale
   reconstruction is self-sustaining: every candidate looks impossible, so
-  no decision ever refreshes it.
+  no decision ever refreshes it. The zero-strategy mode memory records the
+  best-fitting candidate on a gated step instead of an all-deliver anchor,
+  which with several links is usually wrong and would gate the next step
+  too.
 * Hold-strategy filters keep the variance of the held-input state
   components above a small floor (``DEFAULT_HELD_COV_FLOOR``). With no
   process noise those components otherwise collapse to exact certainty,
@@ -184,8 +189,9 @@ class StepResult:
 
 def _require_finite(name: str, *arrays) -> None:
     for arr in arrays:
-        # np.isfinite(arr).all() without ndarray.all's Python-level wrapper
-        if not np.logical_and.reduce(np.isfinite(arr), axis=None):
+        # np.isfinite(arr).all(), counted by one C call instead of a reduction
+        finite = np.isfinite(arr)
+        if np.count_nonzero(finite) != finite.size:
             raise NumericalError(f"non-finite values in {name}")
 
 
@@ -310,7 +316,7 @@ def mode_posterior_update_log(probs_prev, loglik, transition) -> tuple[np.ndarra
     """
     probs_prev = np.asarray(getattr(probs_prev, "probs", probs_prev), dtype=float)
     loglik = np.asarray(loglik, dtype=float).reshape(-1)
-    if np.logical_or.reduce(np.isnan(loglik), axis=None):
+    if np.count_nonzero(np.isnan(loglik)):
         raise NumericalError("NaN log-likelihood")
     prior = predict_prior(probs_prev, transition)
     if loglik.shape != prior.shape:
@@ -415,13 +421,6 @@ def _moment_match(weights: np.ndarray, bank: GaussianBelief) -> GaussianBelief:
     return GaussianBelief._of(mean, 0.5 * (cov + _t(cov)))
 
 
-def _decided_cycle(aug: AugmentedModel, mode: int, belief, u_prev, y, floor) -> GaussianBelief:
-    """Kalman cycle on the decided mode's matrices, then the held-input floor."""
-    a_tab, b_tab = aug.mode_tables
-    belief = kf_predict(a_tab[mode - 1], b_tab[mode - 1], aug.Q, belief, u_prev)
-    return floor_held_cov(kf_update(aug.C, aug.R, belief, y), aug.plant.n, floor)
-
-
 def _transition_array(transition, s: int) -> np.ndarray:
     mat = transition.P if isinstance(transition, TransitionMatrix) else np.asarray(transition, dtype=float)
     if mat.shape != (s, s):
@@ -455,6 +454,90 @@ def _step_signals(key: str, u, y, force_mode=None, s: int = 0):
     return u, y
 
 
+def _bank_step(bank, aug, floor, u, y, force_mode=None) -> list[StepResult]:
+    """One step of a bank of estimators; returns their results in bank order.
+
+    A bank's estimators are started and stepped on the same signals and share
+    one augmented model ``aug`` and held-input floor. The step's (u, y) is
+    converted and checked once, under the first estimator's key. Then each
+    estimator decides, one Kalman cycle runs on the stacked mode-table rows
+    they ask for (the decided mode of ``alg1`` and ``alg2``, the s mixed
+    filters of ``imm``), and each estimator commits. An estimator's step is a
+    generator:
+
+    1. up to its first yield it decides, committing nothing, and yields
+       ``(rows, belief, u_prev)``: one row (an integer) with a (d,) belief,
+       a slice of rows with an (n, d) belief, or no rows (None, for a
+       mode-only ``alg1``);
+    2. it is sent its rows' predicted belief (None without rows);
+    3. it is sent its rows' updated and floored belief, finishes everything
+       that can raise and yields its StepResult;
+    4. resumed once more, it commits.
+
+    No estimator commits before every one has reached step 3, so a step that
+    raises leaves the whole bank as it was. A bank of one (an estimator's
+    own ``step``) stacks nothing. ``force_mode`` replaces the argmax
+    decision of a one-estimator ``alg1`` or ``alg2`` bank.
+    """
+    first = bank[0]
+    u, y = _step_signals(first.key, u, y, force_mode, first.space.s)
+    if len(bank) == 1:
+        return [_lone_step(first._step(u, y, force_mode), aug, floor, y)]
+    steps = [est._step(u, y, force_mode) for est in bank]
+    requests = list(map(next, steps))
+
+    rows, parts = [], []  # the stacked rows; where each estimator's sit among them
+    for req_rows, _, _ in requests:
+        if req_rows is None:
+            parts.append(None)
+        elif isinstance(req_rows, slice):
+            parts.append(slice(len(rows), len(rows) + req_rows.stop - req_rows.start))
+            rows.extend(range(req_rows.start, req_rows.stop))
+        else:
+            parts.append(len(rows))
+            rows.append(req_rows)
+    pred = upd = None
+    if rows:
+        dim = aug.state_dim
+        stacked = GaussianBelief._of(np.empty((len(rows), dim)), np.empty((len(rows), dim, dim)))
+        for part, (_, belief, _) in zip(parts, requests):
+            if part is not None:
+                stacked.mean[part] = belief.mean
+                stacked.cov[part] = belief.cov
+        a_tab, b_tab = aug.mode_tables
+        u_prev = requests[0][2]  # the bank's shared previous input
+        pred = kf_predict(a_tab.take(rows, 0), b_tab.take(rows, 0), aug.Q, stacked, u_prev)
+    for step, part in zip(steps, parts):
+        step.send(_part(pred, part))
+    if rows:
+        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
+    results = [step.send(_part(upd, part)) for step, part in zip(steps, parts)]
+    for step in steps:
+        next(step, None)
+    return results
+
+
+def _part(belief: GaussianBelief | None, part) -> GaussianBelief | None:
+    """One estimator's rows (views) of a stacked belief."""
+    return None if part is None else GaussianBelief._of(belief.mean[part], belief.cov[part])
+
+
+def _lone_step(step, aug, floor, y) -> StepResult:
+    """A bank of one: its Kalman cycle runs on the estimator's own arrays,
+    with its rows of the mode tables picked as views; nothing is stacked."""
+    rows, belief, u_prev = next(step)
+    pred = upd = None
+    if rows is not None:
+        a_tab, b_tab = aug.mode_tables
+        pred = kf_predict(a_tab[rows], b_tab[rows], aug.Q, belief, u_prev)
+    step.send(pred)
+    if rows is not None:
+        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
+    result = step.send(upd)
+    next(step, None)
+    return result
+
+
 class Alg1Estimator:
     """Loss-mode estimator driven by the plant's input-output recursion.
 
@@ -471,9 +554,10 @@ class Alg1Estimator:
     Every step the best candidate's squared Mahalanobis residual is checked
     against a chi-square gate (tail probability ``gate_pvalue``). A gated
     step means the fixed-covariance Gaussian model is inconsistent with the
-    data; the posterior falls back to its chain prediction (flagged) and
-    the hold-strategy memory re-anchors to the issued inputs, discarding
-    reconstructions the data just contradicted.
+    data; the posterior falls back to its chain prediction (flagged). The
+    hold-strategy memory then re-anchors to the issued inputs, discarding
+    reconstructions the data just contradicted; the zero-strategy mode
+    memory records the best-fitting candidate.
     """
 
     key = "alg1"
@@ -536,8 +620,10 @@ class Alg1Estimator:
         later), ``y`` the current measurement. ``force_mode`` substitutes an
         externally known mode for the argmax decision (diagnostics).
         """
-        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
+        return _bank_step((self,), self._kf, self._held_cov_floor, u, y, force_mode)[0]
 
+    def _step(self, u, y, force_mode):
+        """This estimator's part of a bank step (see ``_bank_step``)."""
         yhat = alg1_predict_output(
             self.arma, self.strategy, self.space,
             self._y_hist, self._u_hist, self._uhat_hist, self._mode_hist,
@@ -545,35 +631,48 @@ class Alg1Estimator:
         loglik = _chol_logpdf(y - yhat, self._chol, self._log_det_half)
 
         best_d2 = -2.0 * (np.maximum.reduce(loglik) + self._log_det_half) - self.arma.m * LOG_2PI
-        if best_d2 > self._gate_d2:
-            self._probs, fallback = predict_prior(self._probs, self._P), True
+        gated = best_d2 > self._gate_d2
+        if gated:
+            probs, fallback = predict_prior(self._probs, self._P), True
         else:
-            self._probs, fallback = mode_posterior_update_log(self._probs, loglik, self._P)
-        mode = mode_argmax(self._probs) if force_mode is None else force_mode
+            probs, fallback = mode_posterior_update_log(self._probs, loglik, self._P)
+        mode = mode_argmax(probs) if force_mode is None else force_mode
 
-        # memory entries: the decided mode normally; the delivery anchor on
-        # gated steps, whose signals (the issued inputs) are known exactly
-        memory_mode = self.space.s if fallback else mode
-        if self.strategy is LossStrategy.HOLD:
+        # memory entries: the decided mode normally. On a fallback step the
+        # hold strategy re-anchors to the all-deliver mode, whose signals
+        # (the issued inputs) are known exactly; a gated zero-strategy step
+        # keeps the best-fitting candidate instead, since an anchor that is
+        # wrong (all-deliver is rare with several links) makes the next
+        # prediction wrong and the gate fire again
+        hold = self.strategy is LossStrategy.HOLD
+        if not fallback:
+            memory_mode = mode
+        elif gated and not hold:
+            memory_mode = int(loglik.argmax()) + 1
+        else:
+            memory_mode = self.space.s
+        if hold:
             if fallback:
                 uhat = self._u_hist[0].copy()
             else:
                 alpha = self.space.flags[memory_mode - 1]
                 uhat = alpha * self._u_hist[0] + (1.0 - alpha) * self._uhat_hist[0]
+
+        yield (None if self._kf is None else mode - 1), self._belief, self._u_hist[0]
+        belief = yield
+        yield StepResult(
+            mode, None if belief is None else belief.mean, probs.copy(), loglik, fallback
+        )
+
+        self._probs = probs
+        if hold:
             self._uhat_hist.appendleft(uhat)
         if self.arma.p > 1:
             self._mode_hist.appendleft(memory_mode)
-
-        state = None
-        if self._kf is not None:
-            self._belief = _decided_cycle(
-                self._kf, mode, self._belief, self._u_hist[0], y, self._held_cov_floor
-            )
-            state = self._belief.mean
-
+        if belief is not None:
+            self._belief = belief
         self._y_hist.appendleft(y)
         self._u_hist.appendleft(u)
-        return StepResult(mode, state, self._probs.copy(), loglik, fallback)
 
 
 class Alg2Estimator:
@@ -618,20 +717,22 @@ class Alg2Estimator:
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
+        return _bank_step((self,), self.aug, self._held_cov_floor, u, y, force_mode)[0]
 
+    def _step(self, u, y, force_mode):
+        """This estimator's part of a bank step (see ``_bank_step``)."""
         yhat, sigma = alg2_predict(self.aug, self._belief, self._last_u)
         chol = _cholesky(sigma)
         loglik = _chol_logpdf(y - yhat, chol, _log_det_half(chol))
 
-        self._probs, fallback = mode_posterior_update_log(self._probs, loglik, self._P)
-        mode = mode_argmax(self._probs) if force_mode is None else force_mode
+        probs, fallback = mode_posterior_update_log(self._probs, loglik, self._P)
+        mode = mode_argmax(probs) if force_mode is None else force_mode
 
-        self._belief = _decided_cycle(
-            self.aug, mode, self._belief, self._last_u, y, self._held_cov_floor
-        )
-        self._last_u = u
-        return StepResult(mode, self._belief.mean, self._probs.copy(), loglik, fallback)
+        yield mode - 1, self._belief, self._last_u
+        belief = yield
+        yield StepResult(mode, belief.mean, probs.copy(), loglik, fallback)
+
+        self._probs, self._belief, self._last_u = probs, belief, u
 
 
 class ImmEstimator:
@@ -685,8 +786,11 @@ class ImmEstimator:
     def step(self, u, y) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        u, y = _step_signals(self.key, u, y)
+        return _bank_step((self,), self.aug, self._held_cov_floor, u, y)[0]
 
+    def _step(self, u, y, force_mode):
+        """This estimator's part of a bank step (see ``_bank_step``); IMM
+        takes no forced mode, so ``force_mode`` is ignored."""
         # mixing weights W[j, i] = P[i, j] mu_i / prior_j of filter i into
         # filter j; an unreachable target (prior_j = 0) keeps its own state
         prior = predict_prior(self._mu, self._P)
@@ -695,18 +799,15 @@ class ImmEstimator:
         weights = np.where(reach[:, None], weights, self._eye)
         mixed = _moment_match(weights, self._bank)
 
-        c_mat, r_mat = self.aug.C, self.aug.R
-        pred = kf_predict(*self.aug.mode_tables, self.aug.Q, mixed, self._last_u)
-        innov_cov = c_mat @ pred.cov @ c_mat.T + r_mat
+        pred = yield slice(0, self.space.s), mixed, self._last_u
+        c_mat = self.aug.C
+        innov_cov = c_mat @ pred.cov @ c_mat.T + self.aug.R
         chol = _cholesky(0.5 * (innov_cov + _t(innov_cov)))
         loglik = _chol_logpdf(y - _mv(c_mat, pred.mean), chol, _log_det_half(chol))
-        self._bank = floor_held_cov(
-            kf_update(c_mat, r_mat, pred, y), self.aug.plant.n, self._held_cov_floor
-        )
 
-        self._mu, fallback = mode_posterior_update_log(self._mu, loglik, self._P)
-        self._combined = _moment_match(self._mu, self._bank)
-        self._last_u = u
-        return StepResult(
-            mode_argmax(self._mu), self._combined.mean, self._mu.copy(), loglik, fallback
-        )
+        bank = yield
+        mu, fallback = mode_posterior_update_log(self._mu, loglik, self._P)
+        combined = _moment_match(mu, bank)
+        yield StepResult(mode_argmax(mu), combined.mean, mu.copy(), loglik, fallback)
+
+        self._bank, self._mu, self._combined, self._last_u = bank, mu, combined, u

@@ -2,9 +2,9 @@
 
 A trial runs in two halves. The truth half propagates the true plant over
 all steps with a sampled mode sequence, white noise and white excitation
-inputs. The estimator half then runs the selected estimators in lockstep on
-exactly the signals a controller would see: the issued inputs and the
-measured outputs. :func:`replay_estimators` runs the same estimator loop on
+inputs. The estimator half then steps the selected estimators as one bank
+(one stacked Kalman cycle per step) on exactly the signals a controller
+would see: the issued inputs and the measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
 
 Randomness is fully determined by the trial seed. Four independent
@@ -29,6 +29,7 @@ from .filters import (
     Alg2Estimator,
     ImmEstimator,
     NumericalError,
+    _bank_step,
 )
 from .markov import TransitionMatrix, sample_next, stationary_distribution
 from .model import (
@@ -192,8 +193,7 @@ def _psd_factor(mat: np.ndarray) -> np.ndarray | None:
     return vecs * np.sqrt(vals)
 
 
-def _build_estimators(cfg: TrialConfig, names, aug) -> dict:
-    floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
+def _build_estimators(cfg: TrialConfig, names, aug, floor: float) -> dict:
     est: dict = {}
     for name in names:
         if name == "alg1":
@@ -275,26 +275,43 @@ def _simulate_truth(cfg: TrialConfig, aug):
 
 
 def _run_estimators(cfg: TrialConfig, names, aug, u: np.ndarray, y: np.ndarray):
-    """Start the estimators on (u_0, y_0), then step them in lockstep on
-    (u_k, y_k), k = 1..N, in selection order. Returns per-name modes, states
-    and fallbacks aligned as in a TrialRecord (filled up to a failure) and
-    None or the first numerical failure as (step, reason, exception)."""
+    """Start the estimators on (u_0, y_0), then step them as one bank on
+    (u_k, y_k), k = 1..N. Returns per-name modes, states and fallbacks
+    aligned as in a TrialRecord (filled up to a failure) and None or the
+    first numerical failure as (step, reason, exception).
+
+    A bank step that raises commits nothing, so it is re-run one estimator
+    at a time in selection order: the failure, and the results of the
+    estimators ahead of the one that fails, are those of stepping each alone.
+    """
     nsteps, n = u.shape[0] - 1, cfg.plant.n
+    floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
     modes = {name: np.zeros(nsteps, dtype=int) for name in names}
     states = {name: np.zeros((nsteps, n)) for name in names}
     fallbacks = {name: np.zeros(nsteps, dtype=bool) for name in names}
+    if not names:
+        return modes, states, fallbacks, None
+
+    def record(name, res):
+        modes[name][k - 1] = res.mode
+        states[name][k - 1] = res.state[:n]
+        fallbacks[name][k - 1] = res.fallback
+
     k = 0
     try:
-        estimators = _build_estimators(cfg, names, aug)
-        for est in estimators.values():
+        estimators = _build_estimators(cfg, names, aug, floor)
+        bank = tuple(estimators.values())
+        for est in bank:
             est.start(u[0], y[0])
         for k in range(1, nsteps + 1):
-            for name, est in estimators.items():
-                res = est.step(u[k], y[k])
-                modes[name][k - 1] = res.mode
-                if res.state is not None:
-                    states[name][k - 1] = res.state[:n]
-                fallbacks[name][k - 1] = res.fallback
+            try:
+                results = _bank_step(bank, aug, floor, u[k], y[k])
+            except (NumericalError, np.linalg.LinAlgError):
+                for name, est in estimators.items():
+                    record(name, est.step(u[k], y[k]))
+                continue
+            for name, res in zip(names, results):
+                record(name, res)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return modes, states, fallbacks, (k, f"{name}: {exc}" if k else str(exc), exc)
     return modes, states, fallbacks, None

@@ -1,14 +1,23 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written as direct enumeration or direct
-recursion, sharing no code path with the implementations under test.
+recursion, sharing no code path with the implementations under test. The
+one exception, :func:`run_one_at_a_time`, steps the package's estimators one
+at a time, the reference for stepping them as one bank.
 """
 
 import math
 
 import numpy as np
 
-from ncsmode.model import LossStrategy
+from ncsmode.filters import (
+    DEFAULT_HELD_COV_FLOOR,
+    Alg1Estimator,
+    Alg2Estimator,
+    ImmEstimator,
+    NumericalError,
+)
+from ncsmode.model import LossStrategy, build_augmented, ss_to_arma
 
 
 def simulate_arma(arma, strategy, space, thetas, u, e):
@@ -226,3 +235,53 @@ def imm_cycle(aug, P, mu, means, covs, u_prev, y, floor):
     post, _ = bayes_decision(mu, loglik, P)
     combined, _ = moment_match(post, new_means, new_covs)
     return loglik, post, new_means, new_covs, combined
+
+
+# ---------------------------------------------------------------------------
+# A trial's estimator loop, one estimator at a time: the package steps the
+# selected estimators as one bank with a stacked Kalman cycle.
+# ---------------------------------------------------------------------------
+
+def run_one_at_a_time(cfg, names, u, y):
+    """Build the selected estimators from the public classes, start each on
+    (u_0, y_0), then step them one at a time in selection order, each
+    through its own ``step``, up to the first numerical failure.
+
+    Returns the estimators by name, per-name modes, states and fallbacks
+    (zero from the failure on, as in a trial record) and None or the
+    failure as (step, reason), the reason formatted as a record's
+    ``fail_reason``.
+    """
+    steps, n = u.shape[0] - 1, cfg.plant.n
+    floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
+    modes = {name: np.zeros(steps, dtype=int) for name in names}
+    states = {name: np.zeros((steps, n)) for name in names}
+    fallbacks = {name: np.zeros(steps, dtype=bool) for name in names}
+    aug = build_augmented(cfg.plant, cfg.strategy)
+    init = dict(prior=cfg.est_prior, x0=cfg.est_x0, P0=cfg.est_P0, held_cov_floor=floor)
+    estimators = {}
+    try:
+        for name in names:
+            if name == "alg1":
+                arma = cfg.arma if cfg.arma is not None else ss_to_arma(cfg.plant)
+                estimators[name] = Alg1Estimator(
+                    arma, cfg.strategy, cfg.chain, prior=cfg.est_prior, kf_model=aug,
+                    kf_x0=cfg.est_x0, kf_P0=cfg.est_P0, held_cov_floor=floor,
+                )
+            else:
+                cls = Alg2Estimator if name == "alg2" else ImmEstimator
+                estimators[name] = cls(aug, cfg.chain, **init)
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return estimators, modes, states, fallbacks, (0, str(exc))
+    for est in estimators.values():
+        est.start(u[0], y[0])
+    for k in range(1, steps + 1):
+        for name, est in estimators.items():
+            try:
+                res = est.step(u[k], y[k])
+            except (NumericalError, np.linalg.LinAlgError) as exc:
+                return estimators, modes, states, fallbacks, (k, f"{name}: {exc}")
+            modes[name][k - 1] = res.mode
+            states[name][k - 1] = res.state[:n]
+            fallbacks[name][k - 1] = res.fallback
+    return estimators, modes, states, fallbacks, None

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -300,3 +301,46 @@ def test_run_experiment_failure_removes_outputs(tmp_path):
     assert code == 1
     out_dir = tmp_path / "fail"
     assert not any(out_dir.iterdir())
+
+
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("input", "std", {"a": 1}), ("input", "std", "10"), ("estimator_init", "prior", "gaussian"),
+     ("estimator_init", "prior", True), ("estimator_init", "P0", "a"),
+     ("estimator_init", "x0", "ab"), ("plant", "A", [["1", 0.0], [0.0, 1.0]]),
+     ("plant", "R", [[True, 0.0], [0.0, 1.0]]), ("chain", "matrix", "P"),
+     ("chain", "links", {"a": 1}), (None, "x0", {"a": 1}), (None, "u_init_applied", "ab")],
+)
+def test_config_section_value_of_the_wrong_type_exits_2(tmp_path, capsys, section, key, value):
+    """A matrix, vector or scale inside a section (or the top-level x0 and
+    held input) takes a number or a list of numbers, and a prior "uniform"
+    or a list: anything else exits 2 naming the key, without a traceback."""
+    data = cstr5_config()
+    if section is None:
+        data[key] = value
+    else:
+        data[section] = {key: value} if section == "chain" else {**data[section], key: value}
+    name = key if section is None else f"{section}.{key}"
+    with pytest.raises(ValueError, match=re.escape(f"{name}: ")):
+        config_from_dict(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {name}: " in capsys.readouterr().err
+
+
+def test_config_section_values_of_the_right_type_load():
+    """A scalar P0 scales the identity, "uniform" or an absent prior is the
+    uniform one, and integers and nested lists read as numbers."""
+    data = cstr5_config()
+    data["estimator_init"] = {"x0": [0, 0, 0, 1], "P0": 2, "prior": "uniform"}
+    data["input"] = {"std": 3}
+    trial = config_from_dict(data).trial
+    assert np.array_equal(trial.est_x0, [0.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(trial.est_P0, 2.0 * np.eye(4))
+    assert trial.est_prior is None
+    assert np.array_equal(trial.input_std, [3.0, 3.0])
+    data["estimator_init"] = {"prior": [0.1, 0.2, 0.3, 0.4]}
+    trial = config_from_dict(data).trial
+    assert np.array_equal(trial.est_prior, [0.1, 0.2, 0.3, 0.4])
+    assert np.array_equal(trial.est_P0, 0.1 * np.eye(4))

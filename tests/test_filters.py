@@ -27,7 +27,14 @@ from ncsmode.filters import (
     mode_posterior_update,
     mode_posterior_update_log,
 )
-from ncsmode.markov import LinkChain, TransitionMatrix, kron_compose, predict_prior
+from ncsmode.markov import (
+    LinkChain,
+    TransitionMatrix,
+    kron_compose,
+    predict_prior,
+    stationary_distribution,
+)
+from ncsmode.metrics import mde_percent
 from ncsmode.model import (
     ArmaModel,
     LossStrategy,
@@ -36,7 +43,7 @@ from ncsmode.model import (
     build_augmented,
     ss_to_arma,
 )
-from ncsmode.sim import TrialConfig, simulate_trial
+from ncsmode.sim import TrialConfig, run_monte_carlo, simulate_trial
 from oracles import (
     alg1_scores,
     alg2_scores,
@@ -616,3 +623,16 @@ def test_batched_scoring_matches_per_candidate_reference(make_trial, seed):
         for belief, mean, cov in zip(imm.beliefs, means, covs):
             assert _rel_close(belief.mean, mean) and _rel_close(belief.cov, cov)
     assert gated < cfg.steps  # the likelihood path ran, not only the gate
+
+
+def test_alg1_zero_strategy_gate_does_not_lock_up():
+    """A plant started away from the origin trips alg1's mismatch gate during
+    warm-up (its histories are zero-padded). On the zero strategy a gated
+    step must not leave an all-deliver anchor in the mode memory: with four
+    links that anchor is usually wrong, the next step gates again, and the
+    decisions stay the data-free guess. alg1 must do far better."""
+    cfg = dataclasses.replace(_zero_strategy_16_mode_trial(0), x0=np.ones(4), steps=60)
+    guess = 100.0 * (1.0 - stationary_distribution(cfg.chain).max())
+    mdes = [mde_percent(rec.true_modes, rec.est_modes["alg1"])
+            for rec in run_monte_carlo(cfg, 5, 0, ("alg1",))]
+    assert np.mean(mdes) < 0.5 * guess

@@ -1,11 +1,13 @@
 import dataclasses
+import itertools
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ncsmode.cli import load_config
-from ncsmode.filters import NumericalError
+from ncsmode.filters import ImmEstimator, NumericalError, _bank_step
 from ncsmode.markov import TransitionMatrix
 from ncsmode.model import LossStrategy, PlantModel
 import ncsmode.sim as sim
@@ -17,6 +19,8 @@ from ncsmode.sim import (
     run_monte_carlo,
     simulate_trial,
 )
+
+from oracles import run_one_at_a_time
 
 
 @pytest.fixture(scope="module")
@@ -223,3 +227,135 @@ def test_trial_builds_each_model_once(preset_trial, monkeypatch):
     calls.clear()
     simulate_trial(cfg, ESTIMATOR_KEYS)
     assert calls == {"augmented": 1, "arma": 1}
+
+
+# ---------------------------------------------------------------------------
+# The bank step against the estimators stepped one at a time
+# ---------------------------------------------------------------------------
+
+ORDERS = [names for k in (1, 2, 3) for names in itertools.permutations(ESTIMATOR_KEYS, k)]
+
+# the benchmark's 16-mode zero-strategy plant, started away from the origin
+QUAD4 = Path(__file__).resolve().parents[1] / "perfbench" / "quad4.json"
+
+
+def _final_beliefs(est):
+    beliefs = est.beliefs + [est.combined_belief] if isinstance(est, ImmEstimator) else [est.belief]
+    return [est.posterior] + [b.mean for b in beliefs] + [b.cov for b in beliefs]
+
+
+def _bank_trial(cfg, names, monkeypatch):
+    """simulate_trial, and the estimators its bank stepped."""
+    real, built = sim._build_estimators, []
+
+    def build(*args):
+        built.append(real(*args))
+        return built[-1]
+
+    monkeypatch.setattr(sim, "_build_estimators", build)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rec = simulate_trial(cfg, names)
+    return rec, built[0] if built else {}
+
+
+def _assert_same_estimates(rec, names, modes, states, fallbacks):
+    for name in names:
+        assert np.array_equal(rec.est_modes[name], modes[name]), name
+        assert np.array_equal(rec.est_states[name], states[name]), name
+        assert np.array_equal(rec.fallbacks[name], fallbacks[name]), name
+
+
+@pytest.mark.parametrize("names", ORDERS, ids="-".join)
+@pytest.mark.parametrize("plant", ["cstr5-hold", "cstr5-zero", "quad4-zero"])
+def test_bank_step_equals_one_estimator_at_a_time(preset_trial, plant, names, monkeypatch):
+    """Stepping the selected estimators as one bank, with one stacked Kalman
+    cycle, gives exactly what stepping each alone gives: modes, states,
+    fallbacks and final beliefs, for every ordered selection."""
+    if plant == "quad4-zero":
+        cfg = dataclasses.replace(load_config(str(QUAD4)).trial, steps=40, seed=3)
+    else:
+        cfg = dataclasses.replace(preset_trial, steps=40, seed=6)
+        if plant == "cstr5-zero":
+            cfg = dataclasses.replace(cfg, strategy=LossStrategy.ZERO,
+                                      est_x0=np.zeros(2), est_P0=0.1 * np.eye(2))
+    rec, bank = _bank_trial(cfg, names, monkeypatch)
+    alone, modes, states, fallbacks, failure = run_one_at_a_time(cfg, names, rec.u, rec.y)
+    assert not rec.failed and failure is None
+    _assert_same_estimates(rec, names, modes, states, fallbacks)
+    assert tuple(bank) == names
+    for name in names:
+        for got, want in zip(_final_beliefs(bank[name]), _final_beliefs(alone[name]), strict=True):
+            assert np.array_equal(got, want), name
+
+
+def _bad_input_trial(trial, value):
+    useq = np.random.default_rng(3).normal(scale=10.0, size=(21, 2))
+    useq[5] = value
+    return dataclasses.replace(trial, steps=20, input_std=None, input_sequence=useq, seed=4)
+
+
+def _zero_r_trial(trial):
+    plant = PlantModel(A=trial.plant.A, B=trial.plant.B, C=np.eye(2),
+                       Q=np.zeros((2, 2)), R=np.zeros((2, 2)))
+    return dataclasses.replace(trial, plant=plant, steps=6, seed=1)
+
+
+@pytest.mark.parametrize(
+    "case, names, fail_step",
+    [
+        ("1e308 input", ("alg1", "alg2", "imm"), 6),
+        ("1e308 input", ("imm", "alg2", "alg1"), 6),
+        ("NaN input", ("alg1", "alg2", "imm"), 5),
+        ("NaN input", ("imm", "alg2", "alg1"), 5),
+        ("zero R", ("alg1", "alg2", "imm"), 0),
+        ("zero R", ("imm", "alg2", "alg1"), 0),
+        ("zero R", ("alg2", "imm"), 2),
+        ("zero R", ("imm", "alg2"), 2),
+    ],
+)
+def test_bank_step_failure_equals_one_estimator_at_a_time(
+    preset_trial, case, names, fail_step, monkeypatch
+):
+    """A bank step that fails is re-run one estimator at a time: the record
+    carries the failure step and reason of the estimators stepped alone, and
+    every estimate before it, those of the failing step ahead of the
+    failing estimator included."""
+    if case == "zero R":
+        cfg = _zero_r_trial(preset_trial)
+    else:
+        cfg = _bad_input_trial(preset_trial, 1e308 if case == "1e308 input" else np.nan)
+    rec, _ = _bank_trial(cfg, names, monkeypatch)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, modes, states, fallbacks, failure = run_one_at_a_time(cfg, names, rec.u, rec.y)
+    assert rec.failed
+    assert (rec.fail_step, rec.fail_reason) == failure
+    assert rec.fail_step == fail_step
+    _assert_same_estimates(rec, names, modes, states, fallbacks)
+
+
+def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial):
+    """An estimator that fails after the stacked cycle leaves the estimators
+    ahead of it in the bank as they were: none commits before all succeed."""
+    cfg = dataclasses.replace(preset_trial, steps=5, seed=2)
+    rec = simulate_trial(cfg, ())
+    aug = sim.build_augmented(cfg.plant, cfg.strategy)
+    bank = tuple(sim._build_estimators(cfg, ("alg1", "alg2", "imm"), aug, 0.1).values())
+    for est in bank:
+        est.start(rec.u[0], rec.y[0])
+    imm_step = bank[2]._step
+
+    def failing_step(u, y, force_mode):
+        step = imm_step(u, y, force_mode)
+        step.send((yield next(step)))
+        yield
+        raise NumericalError("late failure")
+
+    bank[2]._step = failing_step
+    before = [_final_beliefs(est) for est in bank[:2]]
+    with pytest.raises(NumericalError, match="late failure"):
+        _bank_step(bank, aug, 0.1, rec.u[1], rec.y[1])
+    for est, saved in zip(bank[:2], before):
+        for got, want in zip(_final_beliefs(est), saved, strict=True):
+            assert np.array_equal(got, want)
+    assert np.array_equal(bank[0]._y_hist[0], rec.y[0])
+    assert np.array_equal(bank[1]._last_u, rec.u[0])

@@ -1,6 +1,7 @@
 """The benchmark's tracer (perfbench/tracer.py) patches package names given
 as strings. These checks keep every such name a module attribute that the
-estimators actually call, so that traced call counts stay meaningful."""
+estimators actually call, so that traced call counts stay meaningful: a
+trial's bank step and each online estimator's step."""
 
 import dataclasses
 import importlib.util
@@ -10,6 +11,8 @@ from pathlib import Path
 import ncsmode
 import ncsmode.cli
 from ncsmode.cli import load_config
+from ncsmode.filters import Alg1Estimator, Alg2Estimator, ImmEstimator
+from ncsmode.model import build_augmented, ss_to_arma
 from ncsmode.sim import ESTIMATOR_KEYS, simulate_trial
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -22,18 +25,63 @@ def _tracer():
     return module.Tracer()
 
 
-def test_traced_trial_scores_candidates_once_per_step():
-    steps = 5
-    cfg = dataclasses.replace(load_config("cstr5").trial, steps=steps, seed=1)
+def _traced(fn):
     tracer = _tracer()
     tracer.install(ncsmode)
     try:
-        rec = simulate_trial(cfg, ESTIMATOR_KEYS)
+        result = fn()
     finally:
         tracer.uninstall()
+    names = [tracer.names[nid] for nid, _, _, _ in tracer.spans]
+    return result, tracer, names
+
+
+def test_traced_trial_scores_candidates_once_per_step():
+    """A trial steps its estimators as one bank: each trial-step scores the
+    candidates once per estimator and runs one Kalman cycle for the bank,
+    and no estimator's own ``step`` runs."""
+    steps = 5
+    cfg = dataclasses.replace(load_config("cstr5").trial, steps=steps, seed=1)
+    rec, _, names = _traced(lambda: simulate_trial(cfg, ESTIMATOR_KEYS))
     assert not rec.failed
 
-    names = [tracer.names[nid] for nid, _, _, _ in tracer.spans]
+    totals = Counter(names)
+    for fn in ("kf_predict", "kf_update", "alg1_predict_output", "alg2_predict"):
+        assert totals[f"filters.{fn}"] == steps, fn
+    assert totals["model.build_augmented"] == 1
+    assert totals["model.ss_to_arma"] == 1
+    assert totals["model.mode_tables"] == 1
+    assert totals["markov.sample_next"] == steps - 1
+    for key in ESTIMATOR_KEYS:
+        assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == 1
+        assert totals[f"filters.{key}.step"] == 0
+
+
+def test_traced_online_step_scores_candidates_once():
+    """Each online estimator's ``step`` (a bank of one, as the stream
+    workload drives it) scores its candidates in one pass and runs its own
+    Kalman cycle."""
+    steps = 5
+    trial = dataclasses.replace(load_config("cstr5").trial, steps=steps, seed=1)
+    rec = simulate_trial(trial, ())
+    aug = build_augmented(trial.plant, trial.strategy)
+    init = {"prior": trial.est_prior, "x0": trial.est_x0, "P0": trial.est_P0}
+    bank = (
+        Alg1Estimator(ss_to_arma(trial.plant), trial.strategy, trial.chain,
+                      prior=trial.est_prior, kf_model=aug, kf_x0=trial.est_x0,
+                      kf_P0=trial.est_P0),
+        Alg2Estimator(aug, trial.chain, **init),
+        ImmEstimator(aug, trial.chain, **init),
+    )
+
+    def run():
+        for est in bank:
+            est.start(rec.u[0], rec.y[0])
+        for k in range(1, steps + 1):
+            for est in bank:
+                est.step(rec.u[k], rec.y[k])
+
+    _, tracer, names = _traced(run)
     children = [Counter() for _ in tracer.spans]
     for name, (_, parent, _, _) in zip(names, tracer.spans):
         if parent >= 0:
@@ -54,11 +102,3 @@ def test_traced_trial_scores_candidates_once_per_step():
                 assert counts[fn] == n_calls, (key, fn, counts)
             other = "filters.alg2_predict" if key == "alg1" else "filters.alg1_predict_output"
             assert counts[other] == 0
-
-    totals = Counter(names)
-    assert totals["model.build_augmented"] == 1
-    assert totals["model.ss_to_arma"] == 1
-    assert totals["model.mode_tables"] == 1
-    assert totals["markov.sample_next"] == steps - 1
-    for key in ESTIMATOR_KEYS:
-        assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == 1
