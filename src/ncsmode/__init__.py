@@ -14,21 +14,16 @@ from .filters import (
     Alg2Estimator,
     GaussianBelief,
     ImmEstimator,
-    ModePosterior,
     NumericalError,
     StepResult,
     alg1_const_sigma,
     alg1_predict_output,
     alg2_predict,
-    chi2_upper_quantile,
     floor_held_cov,
     gaussian_logpdf,
-    gaussian_pdf,
     kf_predict,
-    kf_step,
     kf_update,
     mode_argmax,
-    mode_posterior_update,
     mode_posterior_update_log,
 )
 from .markov import (
@@ -47,7 +42,6 @@ from .model import (
     ModeSpace,
     PlantModel,
     UnsupportedConversionError,
-    apply_loss,
     build_augmented,
     ss_to_arma,
 )
@@ -67,18 +61,17 @@ __all__ = [
     "__version__",
     # model
     "PlantModel", "ArmaModel", "ModeSpace", "LossStrategy", "AugmentedModel",
-    "UnsupportedConversionError", "apply_loss",
-    "build_augmented", "ss_to_arma",
+    "UnsupportedConversionError", "build_augmented", "ss_to_arma",
     # markov
     "LinkChain", "TransitionMatrix", "kron_compose", "predict_prior",
     "sample_next", "stationary_distribution",
     # filters
-    "NumericalError", "GaussianBelief", "ModePosterior", "StepResult",
-    "kf_predict", "kf_update", "kf_step", "gaussian_logpdf", "gaussian_pdf",
-    "mode_posterior_update", "mode_posterior_update_log", "mode_argmax",
+    "NumericalError", "GaussianBelief", "StepResult",
+    "kf_predict", "kf_update", "gaussian_logpdf",
+    "mode_posterior_update_log", "mode_argmax",
     "alg1_const_sigma", "alg1_predict_output", "alg2_predict",
     "Alg1Estimator", "Alg2Estimator", "ImmEstimator",
-    "floor_held_cov", "chi2_upper_quantile",
+    "floor_held_cov",
     "DEFAULT_HELD_COV_FLOOR", "DEFAULT_GATE_PVALUE",
     # sim
     "ESTIMATOR_KEYS", "TrialConfig", "TrialRecord", "derive_trial_seed",

@@ -23,7 +23,7 @@ import numpy as np
 
 from .markov import LinkChain, TransitionMatrix, kron_compose
 from .metrics import MetricsSummary, aggregate
-from .model import ArmaModel, LossStrategy, PlantModel
+from .model import ArmaModel, LossStrategy, ModeSpace, PlantModel
 from .sim import ESTIMATOR_KEYS, TrialConfig, TrialRecord, run_monte_carlo
 
 __all__ = [
@@ -215,6 +215,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     plant = PlantModel(
         **{key: _numbers(pdata.get(key), f"plant.{key}") for key in _SECTION_KEYS["plant"]}
     )
+    with _field("plant.B"):
+        ModeSpace(plant.r)  # one column per input link: bound the link count
 
     arma = None
     adata = data.get("arma")
@@ -236,7 +238,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             chain = TransitionMatrix(matrix)
     elif cdata.get("links") is not None:
         links = _numbers(cdata["links"], "chain.links")
-        with _field("chain"):
+        with _field("chain.links"):
             chain = kron_compose([LinkChain(link) for link in links])
     else:
         raise ValueError("chain: give either 'matrix' or 'links'")

@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .markov import TransitionMatrix, predict_prior
+from .markov import TransitionMatrix, _check_distribution, predict_prior
 from .model import (
     ArmaModel,
     AugmentedModel,
@@ -74,16 +74,11 @@ __all__ = [
     "DEFAULT_GATE_PVALUE",
     "NumericalError",
     "GaussianBelief",
-    "ModePosterior",
     "StepResult",
     "kf_predict",
     "kf_update",
-    "kf_step",
     "floor_held_cov",
-    "chi2_upper_quantile",
     "gaussian_logpdf",
-    "gaussian_pdf",
-    "mode_posterior_update",
     "mode_posterior_update_log",
     "mode_argmax",
     "alg1_const_sigma",
@@ -95,7 +90,6 @@ __all__ = [
 ]
 
 LOG_2PI = math.log(2.0 * math.pi)
-POSTERIOR_TOL = 1e-12
 COV_SYMMETRY_TOL = 1e-10
 COV_EIG_TOL = -1e-9
 
@@ -145,27 +139,6 @@ class GaussianBelief:
             raise NumericalError("covariance lost symmetry")
         if self.cov.size and np.linalg.eigvalsh(self.cov).min() < COV_EIG_TOL:
             raise NumericalError("covariance lost positive semidefiniteness")
-
-
-@dataclass(frozen=True)
-class ModePosterior:
-    """Probability vector over the s mode values."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float).reshape(-1)
-        if probs.shape[0] < 1:
-            raise ValueError("posterior must have at least one mode")
-        if np.any(probs < 0.0):
-            raise ValueError("posterior has negative entries")
-        if abs(probs.sum() - 1.0) > POSTERIOR_TOL:
-            raise ValueError(f"posterior sums to {probs.sum()!r}, expected 1")
-        object.__setattr__(self, "probs", probs)
-
-    @property
-    def s(self) -> int:
-        return self.probs.shape[0]
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,11 +208,6 @@ def kf_update(C, R, belief: GaussianBelief, y) -> GaussianBelief:
     return GaussianBelief._of(mean, 0.5 * (cov + _t(cov)))
 
 
-def kf_step(A, B, C, Q, R, belief: GaussianBelief, u_prev, y) -> GaussianBelief:
-    """One full Kalman cycle (predict with u_prev, update with y)."""
-    return kf_update(C, R, kf_predict(A, B, Q, belief, u_prev), y)
-
-
 def floor_held_cov(belief: GaussianBelief, n_phys: int, floor: float) -> GaussianBelief:
     """Raise held-input variances (components beyond n_phys) to the floor."""
     dim = belief.mean.shape[-1]
@@ -255,7 +223,7 @@ def floor_held_cov(belief: GaussianBelief, n_phys: int, floor: float) -> Gaussia
     return GaussianBelief._of(belief.mean, cov)
 
 
-def chi2_upper_quantile(dof: int, p: float) -> float:
+def _chi2_upper_quantile(dof: int, p: float) -> float:
     """Upper-tail chi-square quantile via the Wilson-Hilferty approximation.
 
     Accurate to a few percent, which is ample for mismatch gating.
@@ -297,28 +265,20 @@ def gaussian_logpdf(y, yhat, sigma) -> float:
     return float(_chol_logpdf(y - yhat, chol, _log_det_half(chol)))
 
 
-def gaussian_pdf(y, yhat, sigma) -> float:
-    """Density of N(yhat, sigma) at y."""
-    try:
-        return math.exp(gaussian_logpdf(y, yhat, sigma))
-    except OverflowError:
-        return math.inf
-
-
-def mode_posterior_update_log(probs_prev, loglik, transition) -> tuple[np.ndarray, bool]:
+def mode_posterior_update_log(prior, loglik) -> tuple[np.ndarray, bool]:
     """Recursive posterior update from log-likelihoods.
 
-    Weights each candidate's likelihood by the chain-predicted prior and
-    renormalizes (max-subtraction in log domain). Returns the updated
+    ``prior`` is the chain-predicted mode prior (:func:`predict_prior` of
+    the previous posterior). Each candidate's likelihood is weighted by it
+    and renormalized (max-subtraction in log domain). Returns the updated
     probability vector and a fallback flag: when every weighted candidate
-    is exactly zero, the predicted prior itself is returned and the step is
+    is exactly zero, a copy of the prior is returned and the step is
     flagged.
     """
-    probs_prev = np.asarray(getattr(probs_prev, "probs", probs_prev), dtype=float)
+    prior = np.asarray(prior, dtype=float)
     loglik = np.asarray(loglik, dtype=float).reshape(-1)
     if np.count_nonzero(np.isnan(loglik)):
         raise NumericalError("NaN log-likelihood")
-    prior = predict_prior(probs_prev, transition)
     if loglik.shape != prior.shape:
         raise ValueError(
             f"{loglik.shape[0]} likelihoods for {prior.shape[0]} modes"
@@ -332,21 +292,9 @@ def mode_posterior_update_log(probs_prev, loglik, transition) -> tuple[np.ndarra
     return weights / np.add.reduce(weights), False
 
 
-def mode_posterior_update(posterior_prev, likelihoods, transition) -> tuple[ModePosterior, bool]:
-    """Density-domain wrapper around :func:`mode_posterior_update_log`."""
-    lik = np.asarray(likelihoods, dtype=float).reshape(-1)
-    if np.any(lik < 0.0) or np.any(np.isnan(lik)):
-        raise ValueError("likelihoods must be nonnegative")
-    with np.errstate(divide="ignore"):
-        loglik = np.log(lik)
-    probs, fallback = mode_posterior_update_log(posterior_prev, loglik, transition)
-    return ModePosterior(probs), fallback
-
-
 def mode_argmax(posterior) -> int:
     """Smallest 1-based mode index attaining the maximum probability."""
-    probs = np.asarray(getattr(posterior, "probs", posterior), dtype=float)
-    return int(probs.argmax()) + 1
+    return int(np.asarray(posterior, dtype=float).argmax()) + 1
 
 
 def alg1_const_sigma(arma: ArmaModel) -> np.ndarray:
@@ -437,10 +385,11 @@ def _initial_belief(dim: int, x0, P0) -> GaussianBelief:
 def _initial_probs(prior, s: int) -> np.ndarray:
     if prior is None:
         return np.full(s, 1.0 / s)
-    probs = np.asarray(getattr(prior, "probs", prior), dtype=float).reshape(-1)
+    probs = np.array(prior, dtype=float).reshape(-1)
     if probs.shape[0] != s:
         raise ValueError(f"prior length {probs.shape[0]} does not match {s} modes")
-    return ModePosterior(probs).probs.copy()
+    _check_distribution(probs, "prior")
+    return probs
 
 
 def _step_signals(key: str, u, y, force_mode=None, s: int = 0):
@@ -581,7 +530,7 @@ class Alg1Estimator:
         self._probs = _initial_probs(prior, self.space.s)
         self._held_cov_floor = held_cov_floor
         self._gate_d2 = (
-            math.inf if gate_pvalue is None else chi2_upper_quantile(arma.m, gate_pvalue)
+            math.inf if gate_pvalue is None else _chi2_upper_quantile(arma.m, gate_pvalue)
         )
 
         self._chol = _cholesky(alg1_const_sigma(arma))
@@ -632,10 +581,11 @@ class Alg1Estimator:
 
         best_d2 = -2.0 * (np.maximum.reduce(loglik) + self._log_det_half) - self.arma.m * LOG_2PI
         gated = best_d2 > self._gate_d2
+        prior = predict_prior(self._probs, self._P)
         if gated:
-            probs, fallback = predict_prior(self._probs, self._P), True
+            probs, fallback = prior, True
         else:
-            probs, fallback = mode_posterior_update_log(self._probs, loglik, self._P)
+            probs, fallback = mode_posterior_update_log(prior, loglik)
         mode = mode_argmax(probs) if force_mode is None else force_mode
 
         # memory entries: the decided mode normally. On a fallback step the
@@ -725,7 +675,8 @@ class Alg2Estimator:
         chol = _cholesky(sigma)
         loglik = _chol_logpdf(y - yhat, chol, _log_det_half(chol))
 
-        probs, fallback = mode_posterior_update_log(self._probs, loglik, self._P)
+        prior = predict_prior(self._probs, self._P)
+        probs, fallback = mode_posterior_update_log(prior, loglik)
         mode = mode_argmax(probs) if force_mode is None else force_mode
 
         yield mode - 1, self._belief, self._last_u
@@ -806,7 +757,7 @@ class ImmEstimator:
         loglik = _chol_logpdf(y - _mv(c_mat, pred.mean), chol, _log_det_half(chol))
 
         bank = yield
-        mu, fallback = mode_posterior_update_log(self._mu, loglik, self._P)
+        mu, fallback = mode_posterior_update_log(prior, loglik)
         combined = _moment_match(mu, bank)
         yield StepResult(mode_argmax(mu), combined.mean, mu.copy(), loglik, fallback)
 

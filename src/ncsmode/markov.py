@@ -35,6 +35,15 @@ def _check_stochastic(mat: np.ndarray, name: str) -> None:
         )
 
 
+def _check_distribution(probs: np.ndarray, name: str) -> None:
+    """Reject a probability vector with a negative entry or a sum off 1."""
+    if np.any(probs < 0.0):
+        raise ValueError(f"{name} has negative entries")
+    total = float(probs.sum())
+    if not abs(total - 1.0) <= ROW_SUM_TOL:  # a NaN sum fails too
+        raise ValueError(f"{name} sums to {total!r}, expected 1 within {ROW_SUM_TOL}")
+
+
 @dataclass(frozen=True)
 class LinkChain:
     """Two-state chain for a single input link, over {alpha=0, alpha=1}.
@@ -76,32 +85,27 @@ class TransitionMatrix:
     def s(self) -> int:
         return self.P.shape[0]
 
-    def row(self, i: int) -> np.ndarray:
-        if not 1 <= i <= self.s:
-            raise ValueError(f"mode index {i} outside 1..{self.s}")
-        return self.P[i - 1]
 
-
-def kron_compose(links, space: ModeSpace | None = None) -> TransitionMatrix:
+def kron_compose(links) -> TransitionMatrix:
     """Joint mode chain for r independent links.
 
     The joint transition probability is the product of the per-link
     probabilities; under the mode encoding (link 1 in the lowest bit) this
     is the Kronecker product of the per-link matrices taken highest link
-    first.
+    first. More than ``MAX_LINKS`` links are rejected before the 2^r x 2^r
+    product is allocated.
     """
     links = list(links)
     if not links:
         raise ValueError("at least one link chain is required")
-    if space is not None and space.r != len(links):
-        raise ValueError(f"expected {space.r} link chains, got {len(links)}")
+    ModeSpace(len(links))
     mats = [link.P2 for link in reversed(links)]
     return TransitionMatrix(reduce(np.kron, mats))
 
 
 def predict_prior(posterior, transition) -> np.ndarray:
     """One-step-ahead mode distribution: E_h = sum_l P[l, h] posterior_l."""
-    probs = np.asarray(getattr(posterior, "probs", posterior), dtype=float).reshape(-1)
+    probs = np.asarray(posterior, dtype=float).reshape(-1)
     mat = transition.P if isinstance(transition, TransitionMatrix) else np.asarray(transition)
     if probs.shape[0] != mat.shape[0]:
         raise ValueError(

@@ -24,12 +24,15 @@ __all__ = [
     "ModeSpace",
     "LossStrategy",
     "AugmentedModel",
-    "apply_loss",
     "build_augmented",
     "ss_to_arma",
 ]
 
 SYMMETRY_TOL = 1e-10
+
+# most input links a mode space may have: the joint chain is 2**r x 2**r
+# (at 16 links 32 GiB) and IMM mixing costs (2**r)**2 per step
+MAX_LINKS = 10
 
 
 class UnsupportedConversionError(ValueError):
@@ -53,7 +56,7 @@ def _as_matrix(value, name: str) -> np.ndarray:
 def _check_symmetric(mat: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> None:
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
-    if mat.size and np.max(np.abs(mat - mat.T)) > tol:
+    if mat.size and not np.max(np.abs(mat - mat.T)) <= tol:  # NaN fails too
         raise ValueError(f"{name} must be symmetric within {tol}")
 
 
@@ -192,8 +195,8 @@ class ModeSpace:
     r: int
 
     def __post_init__(self):
-        if not isinstance(self.r, int) or self.r < 0:
-            raise ValueError(f"number of links must be a nonnegative integer, got {self.r}")
+        if not isinstance(self.r, int) or not 0 <= self.r <= MAX_LINKS:
+            raise ValueError(f"number of links must be an integer in 0..{MAX_LINKS}, got {self.r}")
 
     @property
     def s(self) -> int:
@@ -233,37 +236,6 @@ class LossStrategy(Enum):
 
     ZERO = "zero"
     HOLD = "hold"
-
-
-def apply_loss(
-    strategy: LossStrategy,
-    j: int,
-    u: np.ndarray,
-    u_prev_applied: np.ndarray | None = None,
-    space: ModeSpace | None = None,
-) -> np.ndarray:
-    """Input seen by the actuator in mode j.
-
-    Zero strategy: Gamma(j) u. Hold strategy:
-    Gamma(j) u + (I - Gamma(j)) u_prev_applied, where u_prev_applied is the
-    input applied at the previous step.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    if space is None:
-        space = ModeSpace(u.shape[0])
-    elif u.shape[0] != space.r:
-        raise ValueError(f"u has length {u.shape[0]}, expected {space.r}")
-    alpha = space.decode(j)
-    if strategy is LossStrategy.ZERO:
-        return alpha * u
-    if u_prev_applied is None:
-        raise ValueError("hold strategy needs the previously applied input")
-    u_prev = np.asarray(u_prev_applied, dtype=float).reshape(-1)
-    if u_prev.shape != u.shape:
-        raise ValueError(
-            f"u_prev_applied has length {u_prev.shape[0]}, expected {u.shape[0]}"
-        )
-    return alpha * u + (1.0 - alpha) * u_prev
 
 
 @dataclass(frozen=True)

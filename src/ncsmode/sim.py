@@ -31,11 +31,12 @@ from .filters import (
     NumericalError,
     _bank_step,
 )
-from .markov import TransitionMatrix, sample_next, stationary_distribution
+from .markov import TransitionMatrix, _check_distribution, sample_next, stationary_distribution
 from .model import (
     ArmaModel,
     LossStrategy,
     PlantModel,
+    _check_psd,
     build_augmented,
     ss_to_arma,
 )
@@ -65,7 +66,8 @@ class TrialConfig:
     ``u_init_applied`` is the input held from before step 0. The estimator
     initials (``est_x0``, ``est_P0``, ``est_prior``) live in the augmented
     state dimension. ``initial_mode`` overrides sampling the first mode from
-    the chain's stationary distribution.
+    the chain's stationary distribution. ``est_P0`` must be symmetric PSD
+    and ``est_prior`` a probability vector.
     """
 
     plant: PlantModel
@@ -105,6 +107,7 @@ class TrialConfig:
         est_P0 = np.asarray(self.est_P0, dtype=float)
         if est_P0.shape != (aug_dim, aug_dim):
             raise ValueError(f"est_P0 must be {aug_dim}x{aug_dim}, got shape {est_P0.shape}")
+        _check_psd(est_P0, "est_P0")
 
         if (self.input_std is None) == (self.input_sequence is None):
             raise ValueError("give exactly one of input_std and input_sequence")
@@ -138,6 +141,7 @@ class TrialConfig:
                 raise ValueError(
                     f"est_prior has length {prior.shape[0]}, expected {self.chain.s}"
                 )
+            _check_distribution(prior, "est_prior")
         if self.initial_mode is not None and not 1 <= self.initial_mode <= self.chain.s:
             raise ValueError(f"initial_mode {self.initial_mode} outside 1..{self.chain.s}")
         if self.held_cov_floor is not None and self.held_cov_floor < 0.0:

@@ -344,3 +344,44 @@ def test_config_section_values_of_the_right_type_load():
     trial = config_from_dict(data).trial
     assert np.array_equal(trial.est_prior, [0.1, 0.2, 0.3, 0.4])
     assert np.array_equal(trial.est_P0, 0.1 * np.eye(4))
+
+
+@pytest.mark.parametrize(
+    "init, message",
+    [({"prior": [0.5, 0.4, 0.05, 0.0]}, "est_prior sums to 0.9500000000000001, expected 1"),
+     ({"prior": [0.5, 0.6, -0.1, 0.0]}, "est_prior has negative entries"),
+     ({"P0": -0.1}, "est_P0 must be positive semidefinite within 1e-10"),
+     ({"P0": [[0.1, 0.05, 0.0, 0.0], [0.0, 0.1, 0.0, 0.0],
+              [0.0, 0.0, 0.1, 0.0], [0.0, 0.0, 0.0, 0.1]]},
+      "est_P0 must be symmetric within 1e-10")],
+)
+def test_estimator_initials_that_are_no_prior_or_covariance_exit_2(
+    tmp_path, capsys, init, message
+):
+    """A prior off the simplex and a P0 that is not symmetric PSD are
+    rejected at load, naming the field in plain numbers, not at run time."""
+    data = cstr5_config()
+    data["estimator_init"].update(init)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "np.float64" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["plant.B", "chain.links"])
+def test_more_links_than_the_bound_exit_2(tmp_path, capsys, key):
+    """Eleven links (2048 modes) are refused at load, before the joint chain
+    is allocated, naming the key that set the link count."""
+    data = cstr5_config()
+    if key == "plant.B":
+        data["plant"]["B"] = [[0.01] * 11, [0.1] * 11]
+    else:
+        data["chain"]["links"] = [[[0.8, 0.2], [0.4, 0.6]]] * 11
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: {key}: number of links must be an integer in 0..10, got 11"
+            in capsys.readouterr().err)

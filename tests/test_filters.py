@@ -12,19 +12,15 @@ from ncsmode.filters import (
     Alg2Estimator,
     GaussianBelief,
     ImmEstimator,
-    ModePosterior,
     NumericalError,
+    _chi2_upper_quantile,
     alg1_const_sigma,
     alg1_predict_output,
     alg2_predict,
-    chi2_upper_quantile,
     gaussian_logpdf,
-    gaussian_pdf,
     kf_predict,
-    kf_step,
     kf_update,
     mode_argmax,
-    mode_posterior_update,
     mode_posterior_update_log,
 )
 from ncsmode.markov import (
@@ -64,7 +60,7 @@ from conftest import BENCHMARK_TRANSITION, CSTR_LINK
 
 def test_kf_step_scalar_hand_computed():
     belief = GaussianBelief([0.0], [[1.0]])
-    out = kf_step([[1.0]], [[0.0]], [[1.0]], [[0.0]], [[1.0]], belief, [0.0], [2.0])
+    out = kf_update([[1.0]], [[1.0]], kf_predict([[1.0]], [[0.0]], [[0.0]], belief, [0.0]), [2.0])
     assert out.mean == pytest.approx([1.0])
     assert out.cov[0, 0] == pytest.approx(0.5)
 
@@ -74,8 +70,8 @@ def test_kf_step_perfect_measurement_limit():
     A = rng.normal(size=(3, 3)) * 0.3
     belief = GaussianBelief(rng.normal(size=3), np.eye(3))
     y = rng.normal(size=3)
-    out = kf_step(A, np.zeros((3, 1)), np.eye(3), np.zeros((3, 3)),
-                  1e-12 * np.eye(3), belief, [0.0], y)
+    out = kf_update(np.eye(3), 1e-12 * np.eye(3),
+                    kf_predict(A, np.zeros((3, 1)), np.zeros((3, 3)), belief, [0.0]), y)
     assert np.max(np.abs(out.mean - y)) < 1e-5
 
 
@@ -96,8 +92,8 @@ def test_kf_step_known_mode_tracking(cstr_plant, cstr_chain):
         u = rng.normal(scale=10.0, size=2)
         state = a_tab[theta - 1] @ state + b_tab[theta - 1] @ u
         y = aug.C @ state + chol_r @ rng.standard_normal(2)
-        belief = kf_step(a_tab[theta - 1], b_tab[theta - 1], aug.C, aug.Q, aug.R,
-                         belief, u, y)
+        belief = kf_update(aug.C, aug.R,
+                           kf_predict(a_tab[theta - 1], b_tab[theta - 1], aug.Q, belief, u), y)
         belief.validate()
         errs.append(state[:2] - belief.mean[:2])
         theta = sample_next(cstr_chain, theta, rng)
@@ -112,7 +108,7 @@ def _exactly(message: str) -> str:
 def test_kf_rejects_non_finite():
     belief = GaussianBelief([0.0], [[1.0]])
     with pytest.raises(NumericalError, match=_exactly("non-finite values in kf_update inputs")):
-        kf_step([[1.0]], [[0.0]], [[1.0]], [[0.0]], [[1.0]], belief, [0.0], [np.nan])
+        kf_update([[1.0]], [[1.0]], kf_predict([[1.0]], [[0.0]], [[0.0]], belief, [0.0]), [np.nan])
 
 
 def _alg2_with_zero_noise_and_certain_state():
@@ -133,7 +129,7 @@ def _alg2_with_zero_noise_and_certain_state():
          NumericalError, "innovation covariance is singular"),
         (lambda: _alg2_with_zero_noise_and_certain_state().step([1.0], [0.5]),
          NumericalError, "covariance is not positive definite"),
-        (lambda: mode_posterior_update_log([0.5, 0.5], [0.0, np.nan], np.eye(2)),
+        (lambda: mode_posterior_update_log([0.5, 0.5], [0.0, np.nan]),
          NumericalError, "NaN log-likelihood"),
         (lambda: GaussianBelief(np.zeros(2), np.eye(3)),
          ValueError, "covariance shape (3, 3) does not match mean shape (2,)"),
@@ -154,22 +150,27 @@ def test_failure_contract(fail, error, message):
 # ---------------------------------------------------------------------------
 
 def test_gaussian_pdf_values():
-    assert gaussian_pdf([0.0], [0.0], [[1.0]]) == pytest.approx(1 / math.sqrt(2 * math.pi))
-    assert gaussian_pdf([0.0, 0.0], [0.0, 0.0], np.eye(2)) == pytest.approx(1 / (2 * math.pi))
+    """The log density equals the log of the closed-form density."""
+    assert gaussian_logpdf([0.0], [0.0], [[1.0]]) == pytest.approx(
+        math.log(1 / math.sqrt(2 * math.pi)))
+    assert gaussian_logpdf([0.0, 0.0], [0.0, 0.0], np.eye(2)) == pytest.approx(
+        math.log(1 / (2 * math.pi)))
     expected = math.exp(-0.5) / math.sqrt(8 * math.pi)
-    assert gaussian_pdf([2.0], [0.0], [[4.0]]) == pytest.approx(expected)
+    assert gaussian_logpdf([2.0], [0.0], [[4.0]]) == pytest.approx(math.log(expected))
     assert expected == pytest.approx(0.12099, abs=1e-5)
 
 
 def test_gaussian_logpdf_consistent_with_pdf():
+    """The Cholesky log density equals the log of the density written with
+    an explicit inverse and determinant."""
     rng = np.random.default_rng(8)
     for _ in range(20):
         y = rng.normal(size=2)
         sigma = rng.normal(size=(2, 2))
         sigma = sigma @ sigma.T + 0.5 * np.eye(2)
-        assert gaussian_pdf(y, np.zeros(2), sigma) == pytest.approx(
-            math.exp(gaussian_logpdf(y, np.zeros(2), sigma))
-        )
+        pdf = math.exp(-0.5 * y @ np.linalg.inv(sigma) @ y) / (
+            2 * math.pi * math.sqrt(np.linalg.det(sigma)))
+        assert gaussian_logpdf(y, np.zeros(2), sigma) == pytest.approx(math.log(pdf))
 
 
 def test_gaussian_pdf_singular_sigma_errors():
@@ -181,17 +182,23 @@ def test_gaussian_pdf_singular_sigma_errors():
 # Posterior recursion
 # ---------------------------------------------------------------------------
 
+def _update(post, lik, chain):
+    """The posterior update of post by the likelihoods lik through chain."""
+    with np.errstate(divide="ignore"):
+        return mode_posterior_update_log(predict_prior(post, chain), np.log(lik))
+
+
 def test_posterior_update_equal_likelihoods(cstr_chain):
     post = np.array([0.4, 0.3, 0.2, 0.1])
-    out, fallback = mode_posterior_update(post, np.ones(4), cstr_chain)
+    out, fallback = _update(post, np.ones(4), cstr_chain)
     assert not fallback
-    assert np.allclose(out.probs, predict_prior(post, cstr_chain), atol=1e-15)
+    assert np.allclose(out, predict_prior(post, cstr_chain), atol=1e-15)
 
 
 def test_posterior_update_single_mode():
-    out, fallback = mode_posterior_update([1.0], [0.3], TransitionMatrix([[1.0]]))
+    out, fallback = _update([1.0], [0.3], TransitionMatrix([[1.0]]))
     assert not fallback
-    assert out.probs == pytest.approx([1.0])
+    assert out == pytest.approx([1.0])
 
 
 def test_posterior_update_matches_bayes_oracle():
@@ -206,10 +213,10 @@ def test_posterior_update_matches_bayes_oracle():
         P = rng.random((s, s)) + 1e-6
         P /= P.sum(axis=1, keepdims=True)
         P = TransitionMatrix(P)
-        out, fallback = mode_posterior_update(post, lik, P)
+        out, fallback = _update(post, lik, P)
         assert not fallback
         expected = bayes_posterior(post, lik, P.P)
-        assert np.max(np.abs(out.probs - expected)) < 1e-12
+        assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_posterior_update_scale_invariance(cstr_chain):
@@ -218,33 +225,40 @@ def test_posterior_update_scale_invariance(cstr_chain):
         post = rng.random(4)
         post /= post.sum()
         lik = np.exp(rng.normal(size=4))
-        base, fb0 = mode_posterior_update(post, lik, cstr_chain)
-        scaled, fb1 = mode_posterior_update(post, scale * lik, cstr_chain)
+        base, fb0 = _update(post, lik, cstr_chain)
+        scaled, fb1 = _update(post, scale * lik, cstr_chain)
         assert not fb0 and not fb1
-        assert np.max(np.abs(base.probs - scaled.probs)) < 1e-12
+        assert np.max(np.abs(base - scaled)) < 1e-12
         assert mode_argmax(base) == mode_argmax(scaled)
 
 
 def test_posterior_update_all_zero_fallback(cstr_chain):
     post = np.array([0.7, 0.1, 0.1, 0.1])
-    out, fallback = mode_posterior_update(post, np.zeros(4), cstr_chain)
+    out, fallback = _update(post, np.zeros(4), cstr_chain)
     assert fallback
-    assert np.allclose(out.probs, predict_prior(post, cstr_chain), atol=1e-15)
+    assert np.allclose(out, predict_prior(post, cstr_chain), atol=1e-15)
 
 
 def test_posterior_update_log_domain_survives_extreme_values(cstr_chain):
     loglik = np.array([-50000.0, -50001.0, -50010.0, -50100.0])
-    probs, fallback = mode_posterior_update_log(np.full(4, 0.25), loglik, cstr_chain)
+    probs, fallback = mode_posterior_update_log(predict_prior(np.full(4, 0.25), cstr_chain), loglik)
     assert not fallback
     assert abs(probs.sum() - 1.0) <= 1e-12
     assert mode_argmax(probs) == 1
 
 
 def test_mode_posterior_type_validation():
-    with pytest.raises(ValueError):
-        ModePosterior([0.5, 0.4])
-    with pytest.raises(ValueError):
-        ModePosterior([1.2, -0.2])
+    """An estimator's initial prior must be a probability vector."""
+    plant = PlantModel(A=[[0.5]], B=[[1.0]], C=[[1.0]], Q=[[0.0]], R=[[0.1]])
+    aug = build_augmented(plant, LossStrategy.ZERO)
+    chain = TransitionMatrix([[0.5, 0.5]] * 2)
+    for cls in (Alg2Estimator, ImmEstimator):
+        with pytest.raises(ValueError, match="prior sums to 0.9"):
+            cls(aug, chain, prior=[0.5, 0.4])
+        with pytest.raises(ValueError, match="prior has negative entries"):
+            cls(aug, chain, prior=[1.2, -0.2])
+    with pytest.raises(ValueError, match="prior sums to"):
+        Alg1Estimator(ss_to_arma(plant), LossStrategy.ZERO, chain, prior=[0.5, 0.4])
 
 
 def test_mode_argmax_tie_breaks():
@@ -365,8 +379,8 @@ def test_alg1_single_mode_reduces_to_plain_kalman():
     for _ in range(30):
         y = rng.normal(size=2)
         res = est.step(empty, y)
-        belief = kf_step(plant.A, plant.B, plant.C, plant.Q, plant.R,
-                         belief, empty, y)
+        belief = kf_update(plant.C, plant.R,
+                           kf_predict(plant.A, plant.B, plant.Q, belief, empty), y)
         assert res.mode == 1
         assert np.array_equal(res.posterior, [1.0])
         assert np.array_equal(res.state, belief.mean)
@@ -386,8 +400,8 @@ def test_alg2_single_mode_byte_identical_to_kf():
     for _ in range(30):
         y = rng.normal(size=2)
         res = est.step(empty, y)
-        belief = kf_step(plant.A, plant.B, plant.C, plant.Q, plant.R,
-                         belief, empty, y)
+        belief = kf_update(plant.C, plant.R,
+                           kf_predict(plant.A, plant.B, plant.Q, belief, empty), y)
         assert res.mode == 1
         assert np.array_equal(res.state, belief.mean)
         assert np.array_equal(est.belief.cov, belief.cov)
@@ -412,8 +426,8 @@ def test_alg2_known_mode_consistency(cstr_plant, cstr_chain):
     for k in range(1, steps + 1):
         j = int(thetas[k - 1])
         res = est.step(u[k], y[k], force_mode=j)
-        belief = kf_step(a_tab[j - 1], b_tab[j - 1], aug.C, aug.Q, aug.R,
-                         belief, u[k - 1], y[k])
+        belief = kf_update(aug.C, aug.R,
+                           kf_predict(a_tab[j - 1], b_tab[j - 1], aug.Q, belief, u[k - 1]), y[k])
         assert np.array_equal(res.state, belief.mean)
         assert np.array_equal(est.belief.cov, belief.cov)
 
@@ -467,8 +481,8 @@ def test_imm_no_mixing_reduces_to_single_kf(cstr_plant):
         u = rng.normal(size=2)
         y = rng.normal(size=2)
         res = est.step(u, y)
-        belief = kf_step(a_tab[mode - 1], b_tab[mode - 1], aug.C, aug.Q, aug.R,
-                         belief, u_prev, y)
+        belief = kf_update(aug.C, aug.R,
+                           kf_predict(a_tab[mode - 1], b_tab[mode - 1], aug.Q, belief, u_prev), y)
         u_prev = u
         assert res.mode == mode
         assert np.array_equal(res.state, belief.mean)
@@ -570,7 +584,7 @@ def test_batched_scoring_matches_per_candidate_reference(make_trial, seed):
     aug = build_augmented(cfg.plant, cfg.strategy)
     arma = ss_to_arma(cfg.plant)
     P, s, n, floor = cfg.chain.P, aug.space.s, cfg.plant.n, DEFAULT_HELD_COV_FLOOR
-    gate = chi2_upper_quantile(cfg.plant.m, DEFAULT_GATE_PVALUE)
+    gate = _chi2_upper_quantile(cfg.plant.m, DEFAULT_GATE_PVALUE)
     init = dict(prior=cfg.est_prior, x0=cfg.est_x0, P0=cfg.est_P0)
     alg1 = Alg1Estimator(arma, cfg.strategy, cfg.chain, prior=cfg.est_prior,
                          kf_model=aug, kf_x0=cfg.est_x0, kf_P0=cfg.est_P0)

@@ -55,6 +55,16 @@ def test_kron_compose_empty_error():
         kron_compose([])
 
 
+def test_kron_compose_rejects_more_links_than_the_bound():
+    """Eleven links would need a 2048 x 2048 chain; the count is refused
+    first, as a mode space of eleven links is."""
+    link = LinkChain(CSTR_LINK)
+    for reject in (lambda: kron_compose([link] * 11), lambda: ModeSpace(11)):
+        with pytest.raises(ValueError, match="number of links must be an integer in 0..10, got 11"):
+            reject()
+    assert ModeSpace(10).s == 1024
+
+
 def test_kron_compose_row_stochastic_fuzz():
     rng = np.random.default_rng(99)
     for _ in range(50):

@@ -8,7 +8,6 @@ from ncsmode.model import (
     ModeSpace,
     PlantModel,
     UnsupportedConversionError,
-    apply_loss,
     build_augmented,
     ss_to_arma,
 )
@@ -58,27 +57,6 @@ def test_gamma_idempotent_diagonal():
         assert not space.flags.flags.writeable
         for j in space.modes():
             assert np.array_equal(space.flags[j - 1], space.decode(j))
-
-
-def test_apply_loss_examples():
-    space = ModeSpace(2)
-    u = np.array([5.0, 7.0])
-    assert np.array_equal(
-        apply_loss(LossStrategy.HOLD, space.s, u, np.array([1.0, 2.0])), u
-    )
-    assert np.array_equal(
-        apply_loss(LossStrategy.ZERO, 1, np.array([3.0, -1.0])), np.zeros(2)
-    )
-    j = space.encode([0, 1])
-    out = apply_loss(LossStrategy.HOLD, j, u, np.array([2.0, 4.0]))
-    assert np.array_equal(out, np.array([2.0, 7.0]))
-
-
-def test_apply_loss_dimension_errors():
-    with pytest.raises(ValueError):
-        apply_loss(LossStrategy.HOLD, 1, np.ones(2), np.ones(3))
-    with pytest.raises(ValueError):
-        apply_loss(LossStrategy.HOLD, 1, np.ones(2), None)
 
 
 def test_plant_model_validation():

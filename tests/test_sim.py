@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 from ncsmode.cli import load_config
-from ncsmode.filters import ImmEstimator, NumericalError, _bank_step
-from ncsmode.markov import TransitionMatrix
-from ncsmode.model import LossStrategy, PlantModel
+from ncsmode.filters import (
+    Alg1Estimator,
+    Alg2Estimator,
+    ImmEstimator,
+    NumericalError,
+    _bank_step,
+)
+from ncsmode.markov import LinkChain, TransitionMatrix, kron_compose
+from ncsmode.model import LossStrategy, ModeSpace, PlantModel
 import ncsmode.sim as sim
 from ncsmode.sim import (
     ESTIMATOR_KEYS,
@@ -103,6 +109,32 @@ def test_hold_truth_applied_inputs_follow_hold_rule(preset_trial):
         expected = alpha * rec.u[k] + (1.0 - alpha) * prev
         assert np.allclose(rec.u_applied[k], expected, atol=1e-12)
         prev = rec.u_applied[k]
+
+
+def test_applied_inputs_follow_the_loss_strategy(preset_trial):
+    """In a pinned mode the actuator applies the issued input on each
+    delivering link and, on each losing link, zero (zero strategy) or the
+    input held from before step 0 (hold strategy)."""
+    steps = 10
+    useq = np.random.default_rng(5).normal(size=(steps + 1, 2))
+    issued, held = useq[:-1], np.array([2.0, 4.0])
+    link1_lost = ModeSpace(2).encode([0, 1])
+    cases = [
+        (LossStrategy.HOLD, 4, issued),
+        (LossStrategy.ZERO, 1, np.zeros((steps, 2))),
+        (LossStrategy.HOLD, link1_lost, np.column_stack([np.full(steps, held[0]), issued[:, 1]])),
+        (LossStrategy.ZERO, link1_lost, np.column_stack([np.zeros(steps), issued[:, 1]])),
+    ]
+    for strategy, mode, expected in cases:
+        dim = 4 if strategy is LossStrategy.HOLD else 2
+        cfg = dataclasses.replace(
+            preset_trial, strategy=strategy, chain=TransitionMatrix(np.eye(4)),
+            initial_mode=mode, steps=steps, input_std=None, input_sequence=useq,
+            u_init_applied=held, est_x0=np.zeros(dim), est_P0=0.1 * np.eye(dim),
+        )
+        rec = simulate_trial(cfg, ())
+        assert np.array_equal(rec.true_modes, np.full(steps, mode))
+        assert np.array_equal(rec.u_applied, expected), (strategy, mode)
 
 
 def test_estimators_read_only_the_signals(preset_trial):
@@ -359,3 +391,62 @@ def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial):
             assert np.array_equal(got, want)
     assert np.array_equal(bank[0]._y_hist[0], rec.y[0])
     assert np.array_equal(bank[1]._last_u, rec.u[0])
+
+
+# ---------------------------------------------------------------------------
+# Properties over random plants
+# ---------------------------------------------------------------------------
+
+def _random_trial(r, strategy, seed):
+    """A stable random plant with C = I and Q = 0 (so alg1 can derive its
+    input-output form) behind r lossy links with random chains."""
+    rng = np.random.default_rng([r, seed])
+    n = int(rng.integers(1, 4))
+    A = rng.normal(size=(n, n))
+    A *= rng.uniform(0.3, 0.95) / np.max(np.abs(np.linalg.eigvals(A)))
+    plant = PlantModel(A=A, B=rng.normal(size=(n, r)), C=np.eye(n), Q=np.zeros((n, n)),
+                       R=rng.uniform(1e-3, 1e-1) * np.eye(n))
+    links = [LinkChain([[p, 1.0 - p], [1.0 - q, q]])
+             for p, q in rng.uniform(0.05, 0.95, size=(r, 2))]
+    dim = n + r if strategy is LossStrategy.HOLD else n
+    return TrialConfig(
+        plant=plant, strategy=strategy, chain=kron_compose(links), steps=60,
+        x0=rng.normal(size=n), est_x0=np.zeros(dim), est_P0=0.1 * np.eye(dim),
+        input_std=rng.uniform(1.0, 10.0), seed=seed,
+    )
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_random_plants_keep_posteriors_and_beliefs_healthy(r, monkeypatch):
+    """On random stable plants, both strategies and three seeds: no trial
+    fails, the bank's estimates equal those of each estimator stepped alone,
+    and along the latter every posterior is a probability vector and every
+    belief a finite symmetric PSD Gaussian."""
+    checked = Counter()
+
+    def checking(cls):
+        step = cls.step
+
+        def checked_step(est, *args, **kwargs):
+            res = step(est, *args, **kwargs)
+            assert np.all(res.posterior >= 0.0)
+            assert abs(res.posterior.sum() - 1.0) <= 1e-12
+            beliefs = est.beliefs + [est.combined_belief] if cls is ImmEstimator else [est.belief]
+            for belief in beliefs:
+                belief.validate()
+            checked[cls.key] += 1
+            return res
+
+        monkeypatch.setattr(cls, "step", checked_step)
+
+    for cls in (Alg1Estimator, Alg2Estimator, ImmEstimator):
+        checking(cls)
+    for strategy in LossStrategy:
+        for seed in range(3):
+            cfg = _random_trial(r, strategy, seed)
+            rec = simulate_trial(cfg, ESTIMATOR_KEYS)
+            _, modes, states, fallbacks, failure = run_one_at_a_time(
+                cfg, ESTIMATOR_KEYS, rec.u, rec.y)
+            assert not rec.failed and failure is None, (strategy, seed, rec.fail_reason)
+            _assert_same_estimates(rec, ESTIMATOR_KEYS, modes, states, fallbacks)
+    assert checked == {key: 2 * 3 * 60 for key in ESTIMATOR_KEYS}
