@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .markov import LinkChain, TransitionMatrix, kron_compose
-from .metrics import MetricsSummary, aggregate
+from .metrics import MetricsSummary, _check_bin_width, aggregate
 from .model import ArmaModel, LossStrategy, ModeSpace, PlantModel
 from .sim import ESTIMATOR_KEYS, TrialConfig, TrialRecord, run_monte_carlo
 
@@ -77,6 +77,7 @@ class ExperimentConfig:
                 )
         if not self.estimators:
             raise ValueError("select at least one estimator")
+        _check_bin_width(self.hist_bin_width, "hist_bin_width")
 
 
 @contextlib.contextmanager

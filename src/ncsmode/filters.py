@@ -22,10 +22,12 @@ the mode tables ``A(j)``, ``B(j)`` are (s, d, d) and (s, d, r), candidate
 output predictions (s, m) with covariances (s, m, m), and the IMM bank's
 beliefs (s, d) means with (s, d, d) covariances. The Kalman kernels
 (``kf_predict``, ``kf_update``, ``floor_held_cov``) and ``GaussianBelief``
-broadcast over such leading axes. Estimators stepped together form a bank
-whose Kalman cycle runs once per step on the stacked rows of all of them:
-the decided mode of ``alg1`` and of ``alg2`` and the s filters of ``imm``
-(``_bank_step``; an estimator's own ``step`` is a bank of one).
+broadcast over such leading axes. Estimators stepped together form a bank,
+and the banks of a batch of trials step in lockstep: one Kalman cycle per
+step runs on the stacked rows of all of them, the decided mode of ``alg1``
+and of ``alg2`` and the s filters of ``imm`` of every trial, each row with
+its trial's input and measurement (``_bank_step``). An estimator's own
+``step`` runs the same recursion alone (``_lone_step``).
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -403,16 +405,18 @@ def _step_signals(key: str, u, y, force_mode=None, s: int = 0):
     return u, y
 
 
-def _bank_step(bank, aug, floor, u, y, force_mode=None) -> list[StepResult]:
-    """One step of a bank of estimators; returns their results in bank order.
+def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
+    """One step of a batch of banks; returns each bank's results in bank order.
 
-    A bank's estimators are started and stepped on the same signals and share
-    one augmented model ``aug`` and held-input floor. The step's (u, y) is
-    converted and checked once, under the first estimator's key. Then each
-    estimator decides, one Kalman cycle runs on the stacked mode-table rows
-    they ask for (the decided mode of ``alg1`` and ``alg2``, the s mixed
-    filters of ``imm``), and each estimator commits. An estimator's step is a
-    generator:
+    A bank's estimators are started and stepped on the same signals; the
+    banks of a batch (one per trial) step on their own signals ``us[b]``,
+    ``ys[b]`` and all share one augmented model ``aug`` and held-input floor.
+    Each bank's (u, y) is converted and checked once, under its first
+    estimator's key. Then every estimator decides, one Kalman cycle runs on
+    the stacked mode-table rows they ask for (the decided mode of ``alg1``
+    and ``alg2``, the s mixed filters of ``imm``) with each row's own
+    previous input and measurement, and every estimator commits. An
+    estimator's step is a generator:
 
     1. up to its first yield it decides, committing nothing, and yields
        ``(rows, belief, u_prev)``: one row (an integer) with a (d,) belief,
@@ -423,47 +427,50 @@ def _bank_step(bank, aug, floor, u, y, force_mode=None) -> list[StepResult]:
        that can raise and yields its StepResult;
     4. resumed once more, it commits.
 
-    No estimator commits before every one has reached step 3, so a step that
-    raises leaves the whole bank as it was. A bank of one (an estimator's
-    own ``step``) stacks nothing. ``force_mode`` replaces the argmax
-    decision of a one-estimator ``alg1`` or ``alg2`` bank.
+    No estimator commits before every one of the batch has reached step 3,
+    so a step that raises leaves every bank as it was. An estimator's own
+    ``step`` runs the same generator through ``_lone_step`` instead.
     """
-    first = bank[0]
-    u, y = _step_signals(first.key, u, y, force_mode, first.space.s)
-    if len(bank) == 1:
-        return [_lone_step(first._step(u, y, force_mode), aug, floor, y)]
-    steps = [est._step(u, y, force_mode) for est in bank]
-    requests = list(map(next, steps))
-
-    rows, parts = [], []  # the stacked rows; where each estimator's sit among them
-    for req_rows, _, _ in requests:
-        if req_rows is None:
-            parts.append(None)
-        elif isinstance(req_rows, slice):
-            parts.append(slice(len(rows), len(rows) + req_rows.stop - req_rows.start))
-            rows.extend(range(req_rows.start, req_rows.stop))
-        else:
-            parts.append(len(rows))
-            rows.append(req_rows)
+    steps, parts, rows, means, covs = [], [], [], [], []
+    counts, u_prevs, y_rows = [], [], []
+    for bank, u, y in zip(banks, us, ys):
+        u, y = _step_signals(bank[0].key, u, y)
+        first = len(rows)
+        for est in bank:
+            step = est._step(u, y, None)
+            req_rows, belief, u_prev = next(step)
+            steps.append(step)
+            if req_rows is None:
+                parts.append(None)
+                continue
+            if isinstance(req_rows, slice):
+                parts.append(slice(len(rows), len(rows) + req_rows.stop - req_rows.start))
+                rows.extend(range(req_rows.start, req_rows.stop))
+                means.append(belief.mean)
+                covs.append(belief.cov)
+            else:
+                parts.append(len(rows))
+                rows.append(req_rows)
+                means.append(belief.mean[None])
+                covs.append(belief.cov[None])
+        counts.append(len(rows) - first)
+        u_prevs.append(u_prev)  # the bank's shared previous input
+        y_rows.append(y)
     pred = upd = None
     if rows:
-        dim = aug.state_dim
-        stacked = GaussianBelief._of(np.empty((len(rows), dim)), np.empty((len(rows), dim, dim)))
-        for part, (_, belief, _) in zip(parts, requests):
-            if part is not None:
-                stacked.mean[part] = belief.mean
-                stacked.cov[part] = belief.cov
+        stacked = GaussianBelief._of(np.concatenate(means), np.concatenate(covs))
         a_tab, b_tab = aug.mode_tables
-        u_prev = requests[0][2]  # the bank's shared previous input
-        pred = kf_predict(a_tab.take(rows, 0), b_tab.take(rows, 0), aug.Q, stacked, u_prev)
+        pred = kf_predict(a_tab.take(rows, 0), b_tab.take(rows, 0), aug.Q, stacked,
+                          np.repeat(u_prevs, counts, axis=0))
     for step, part in zip(steps, parts):
         step.send(_part(pred, part))
     if rows:
-        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
-    results = [step.send(_part(upd, part)) for step, part in zip(steps, parts)]
+        upd = kf_update(aug.C, aug.R, pred, np.repeat(y_rows, counts, axis=0))
+        upd = floor_held_cov(upd, aug.plant.n, floor)
+    results = iter([step.send(_part(upd, part)) for step, part in zip(steps, parts)])
     for step in steps:
         next(step, None)
-    return results
+    return [[next(results) for _ in bank] for bank in banks]
 
 
 def _part(belief: GaussianBelief | None, part) -> GaussianBelief | None:
@@ -471,9 +478,12 @@ def _part(belief: GaussianBelief | None, part) -> GaussianBelief | None:
     return None if part is None else GaussianBelief._of(belief.mean[part], belief.cov[part])
 
 
-def _lone_step(step, aug, floor, y) -> StepResult:
-    """A bank of one: its Kalman cycle runs on the estimator's own arrays,
-    with its rows of the mode tables picked as views; nothing is stacked."""
+def _lone_step(est, aug, u, y, force_mode=None) -> StepResult:
+    """An estimator's own step: its Kalman cycle runs on its own arrays,
+    with its rows of the mode tables picked as views; nothing is stacked.
+    ``force_mode`` replaces the argmax decision of ``alg1`` and ``alg2``."""
+    u, y = _step_signals(est.key, u, y, force_mode, est.space.s)
+    step = est._step(u, y, force_mode)
     rows, belief, u_prev = next(step)
     pred = upd = None
     if rows is not None:
@@ -481,7 +491,7 @@ def _lone_step(step, aug, floor, y) -> StepResult:
         pred = kf_predict(a_tab[rows], b_tab[rows], aug.Q, belief, u_prev)
     step.send(pred)
     if rows is not None:
-        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
+        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, est._held_cov_floor)
     result = step.send(upd)
     next(step, None)
     return result
@@ -569,7 +579,7 @@ class Alg1Estimator:
         later), ``y`` the current measurement. ``force_mode`` substitutes an
         externally known mode for the argmax decision (diagnostics).
         """
-        return _bank_step((self,), self._kf, self._held_cov_floor, u, y, force_mode)[0]
+        return _lone_step(self, self._kf, u, y, force_mode)
 
     def _step(self, u, y, force_mode):
         """This estimator's part of a bank step (see ``_bank_step``)."""
@@ -667,7 +677,7 @@ class Alg2Estimator:
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        return _bank_step((self,), self.aug, self._held_cov_floor, u, y, force_mode)[0]
+        return _lone_step(self, self.aug, u, y, force_mode)
 
     def _step(self, u, y, force_mode):
         """This estimator's part of a bank step (see ``_bank_step``)."""
@@ -737,7 +747,7 @@ class ImmEstimator:
     def step(self, u, y) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        return _bank_step((self,), self.aug, self._held_cov_floor, u, y)[0]
+        return _lone_step(self, self.aug, u, y)
 
     def _step(self, u, y, force_mode):
         """This estimator's part of a bank step (see ``_bank_step``); IMM

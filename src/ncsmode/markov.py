@@ -23,8 +23,9 @@ ROW_SUM_TOL = 1e-12
 
 
 def _check_stochastic(mat: np.ndarray, name: str) -> None:
-    if np.any(mat < 0.0) or np.any(mat > 1.0):
-        bad = int(np.argmax((mat < 0.0) | (mat > 1.0)) // mat.shape[1])
+    outside = ~((mat >= 0.0) & (mat <= 1.0))  # NaN is outside too
+    if np.any(outside):
+        bad = int(np.argmax(outside) // mat.shape[1])
         raise ValueError(f"{name} row {bad + 1} has entries outside [0, 1]")
     sums = mat.sum(axis=1)
     off = np.abs(sums - 1.0)

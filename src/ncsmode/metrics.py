@@ -51,10 +51,14 @@ def rmse(true_states, est_states, i: int) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
+def _check_bin_width(bin_width: float, name: str = "bin width") -> None:
+    if not 0.0 < bin_width <= 100.0:  # NaN fails too
+        raise ValueError(f"{name} must be in (0, 100], got {bin_width}")
+
+
 def histogram_edges(bin_width: float) -> np.ndarray:
     """Bin edges partitioning [0, 100] exactly, last bin closed at 100."""
-    if bin_width <= 0.0 or bin_width > 100.0:
-        raise ValueError(f"bin width must be in (0, 100], got {bin_width}")
+    _check_bin_width(bin_width)
     edges = np.arange(0.0, 100.0, bin_width)
     return np.append(edges, 100.0)
 

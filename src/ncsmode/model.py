@@ -53,6 +53,13 @@ def _as_matrix(value, name: str) -> np.ndarray:
     return _read_only(arr)
 
 
+def _all_finite(value) -> bool:
+    """Whether every entry of an array (or a number) is finite; one C count,
+    several times cheaper than ``np.all`` on the small arrays of a config."""
+    finite = np.isfinite(value)
+    return np.count_nonzero(finite) == finite.size
+
+
 def _check_symmetric(mat: np.ndarray, name: str, tol: float = SYMMETRY_TOL) -> None:
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
@@ -152,7 +159,9 @@ class ArmaModel:
                 f"lam must be {b.shape[1]}x{b.shape[1]} to match b, got shape {lam.shape}"
             )
         _check_psd(lam, "lam")
-        for arr in (a, c, b):
+        for name, arr in (("a", a), ("b", b), ("c", c)):
+            if not _all_finite(arr):
+                raise ValueError(f"{name} contains non-finite entries")
             arr.setflags(write=False)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)

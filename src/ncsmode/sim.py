@@ -3,9 +3,12 @@
 A trial runs in two halves. The truth half propagates the true plant over
 all steps with a sampled mode sequence, white noise and white excitation
 inputs. The estimator half then steps the selected estimators as one bank
-(one stacked Kalman cycle per step) on exactly the signals a controller
-would see: the issued inputs and the measured outputs. :func:`replay_estimators` runs the same estimator loop on
+on exactly the signals a controller would see: the issued inputs and the
+measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
+A Monte Carlo run steps the banks of a batch of trials in lockstep, with
+one stacked Kalman cycle per step for all of them; each record equals the
+one its trial gives alone.
 
 Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
@@ -36,6 +39,7 @@ from .model import (
     ArmaModel,
     LossStrategy,
     PlantModel,
+    _all_finite,
     _check_psd,
     build_augmented,
     ss_to_arma,
@@ -55,6 +59,11 @@ ESTIMATOR_KEYS = ("alg1", "alg2", "imm")
 
 SEED_MASK = (1 << 64) - 1
 
+# most Kalman rows one lockstep step of a Monte Carlo batch stacks: a trial
+# adds one row for alg1 and for alg2 and s for imm, so this bounds the
+# batch's cycle memory (rows x d x d floats) whatever the mode count
+MAX_CYCLE_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class TrialConfig:
@@ -66,8 +75,9 @@ class TrialConfig:
     ``u_init_applied`` is the input held from before step 0. The estimator
     initials (``est_x0``, ``est_P0``, ``est_prior``) live in the augmented
     state dimension. ``initial_mode`` overrides sampling the first mode from
-    the chain's stationary distribution. ``est_P0`` must be symmetric PSD
-    and ``est_prior`` a probability vector.
+    the chain's stationary distribution. ``est_P0`` must be symmetric PSD,
+    ``est_prior`` a probability vector, and the states, inputs and scales
+    finite.
     """
 
     plant: PlantModel
@@ -146,6 +156,13 @@ class TrialConfig:
             raise ValueError(f"initial_mode {self.initial_mode} outside 1..{self.chain.s}")
         if self.held_cov_floor is not None and self.held_cov_floor < 0.0:
             raise ValueError("held_cov_floor must be nonnegative")
+        for name, val in (
+            ("x0", x0), ("est_x0", est_x0), ("input_std", input_std),
+            ("input_sequence", input_sequence), ("u_init_applied", u_init),
+            ("x0_std", self.x0_std), ("held_cov_floor", self.held_cov_floor),
+        ):
+            if val is not None and not _all_finite(val):
+                raise ValueError(f"{name} must be finite")
 
         for name, val in (
             ("x0", x0), ("est_x0", est_x0), ("est_P0", est_P0),
@@ -197,11 +214,12 @@ def _psd_factor(mat: np.ndarray) -> np.ndarray | None:
     return vecs * np.sqrt(vals)
 
 
-def _build_estimators(cfg: TrialConfig, names, aug, floor: float) -> dict:
+def _build_estimators(cfg: TrialConfig, names, aug, floor: float, arma) -> dict:
+    """One trial's estimators by name; ``alg1`` runs on the input-output
+    form ``arma``."""
     est: dict = {}
     for name in names:
         if name == "alg1":
-            arma = cfg.arma if cfg.arma is not None else ss_to_arma(cfg.plant)
             est[name] = Alg1Estimator(
                 arma, cfg.strategy, cfg.chain, prior=cfg.est_prior,
                 kf_model=aug, kf_x0=cfg.est_x0, kf_P0=cfg.est_P0,
@@ -278,47 +296,109 @@ def _simulate_truth(cfg: TrialConfig, aug):
     return true_modes, true_states, ys, us, u_applied
 
 
-def _run_estimators(cfg: TrialConfig, names, aug, u: np.ndarray, y: np.ndarray):
-    """Start the estimators on (u_0, y_0), then step them as one bank on
-    (u_k, y_k), k = 1..N. Returns per-name modes, states and fallbacks
-    aligned as in a TrialRecord (filled up to a failure) and None or the
-    first numerical failure as (step, reason, exception).
+def _run_estimators(cfg: TrialConfig, names, aug, signals) -> list:
+    """Step the estimators of a batch of trials in lockstep.
 
-    A bank step that raises commits nothing, so it is re-run one estimator
-    at a time in selection order: the failure, and the results of the
-    estimators ahead of the one that fails, are those of stepping each alone.
+    ``signals`` holds each trial's (u, y), all covering the same steps; the
+    trials share ``cfg`` but for their signals. Each trial's estimators form
+    a bank, started on (u_0, y_0); then every step runs all the banks through
+    one ``_bank_step`` on their (u_k, y_k). Returns, per trial, modes, states
+    and fallbacks per name, aligned as in a TrialRecord (filled up to a
+    failure), and None or the first numerical failure as (step, reason,
+    exception).
+
+    A batched step that raises commits nothing, so it is re-run trial by
+    trial: each trial's bank step alone and, if that raises too, one
+    estimator at a time in selection order. So a trial's failure, and the
+    results of the estimators ahead of the one that fails, are those of
+    stepping each estimator of that trial alone. A failed trial leaves the
+    batch; the rest go on.
     """
-    nsteps, n = u.shape[0] - 1, cfg.plant.n
+    nsteps, n = signals[0][0].shape[0] - 1, cfg.plant.n
     floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
-    modes = {name: np.zeros(nsteps, dtype=int) for name in names}
-    states = {name: np.zeros((nsteps, n)) for name in names}
-    fallbacks = {name: np.zeros(nsteps, dtype=bool) for name in names}
+    out = [
+        ({name: np.zeros(nsteps, dtype=int) for name in names},
+         {name: np.zeros((nsteps, n)) for name in names},
+         {name: np.zeros(nsteps, dtype=bool) for name in names})
+        for _ in signals
+    ]
+    failures = [None] * len(signals)
     if not names:
-        return modes, states, fallbacks, None
+        return [(*arrays, None) for arrays in out]
 
-    def record(name, res):
+    def record(t, name, res):
+        modes, states, fallbacks = out[t]
         modes[name][k - 1] = res.mode
         states[name][k - 1] = res.state[:n]
         fallbacks[name][k - 1] = res.fallback
 
-    k = 0
+    def step_alone(t):
+        """Trial t's step k by itself; None or its failure."""
+        u, y = signals[t][0][k], signals[t][1][k]
+        try:
+            results = _bank_step([banks[t]], aug, floor, [u], [y])[0]
+        except (NumericalError, np.linalg.LinAlgError):
+            for name, est in zip(names, banks[t]):
+                try:
+                    record(t, name, est.step(u, y))
+                except (NumericalError, np.linalg.LinAlgError) as exc:
+                    return k, f"{name}: {exc}", exc
+            return None
+        for name, res in zip(names, results):
+            record(t, name, res)
+        return None
+
     try:
-        estimators = _build_estimators(cfg, names, aug, floor)
-        bank = tuple(estimators.values())
+        # the estimators depend on cfg alone: every trial's build, or none
+        arma = None
+        if "alg1" in names:
+            arma = cfg.arma if cfg.arma is not None else ss_to_arma(cfg.plant)
+        banks = [tuple(_build_estimators(cfg, names, aug, floor, arma).values())
+                 for _ in signals]
+    except (NumericalError, np.linalg.LinAlgError) as exc:
+        return [(*arrays, (0, str(exc), exc)) for arrays in out]
+    for bank, (u, y) in zip(banks, signals):
         for est in bank:
             est.start(u[0], y[0])
-        for k in range(1, nsteps + 1):
-            try:
-                results = _bank_step(bank, aug, floor, u[k], y[k])
-            except (NumericalError, np.linalg.LinAlgError):
-                for name, est in estimators.items():
-                    record(name, est.step(u[k], y[k]))
-                continue
-            for name, res in zip(names, results):
-                record(name, res)
-    except (NumericalError, np.linalg.LinAlgError) as exc:
-        return modes, states, fallbacks, (k, f"{name}: {exc}" if k else str(exc), exc)
-    return modes, states, fallbacks, None
+    active = list(range(len(signals)))
+    for k in range(1, nsteps + 1):
+        if not active:
+            break
+        try:
+            results = _bank_step([banks[t] for t in active], aug, floor,
+                                 [signals[t][0][k] for t in active],
+                                 [signals[t][1][k] for t in active])
+        except (NumericalError, np.linalg.LinAlgError):
+            for t in active:
+                failures[t] = step_alone(t)
+            active = [t for t in active if failures[t] is None]
+            continue
+        for t, bank_results in zip(active, results):
+            for name, res in zip(names, bank_results):
+                record(t, name, res)
+    return [(*arrays, failure) for arrays, failure in zip(out, failures)]
+
+
+def _simulate_trials(configs, names) -> list[TrialRecord]:
+    """Records of trials whose configs differ only in their signals (the
+    seed, or the input and initial-state options): one augmented model, each
+    trial's truth, then all their estimators stepped in lockstep."""
+    cfg = configs[0]
+    aug = build_augmented(cfg.plant, cfg.strategy)
+    truths = [_simulate_truth(trial, aug) for trial in configs]
+    estimates = _run_estimators(cfg, names, aug, [(u, y) for _, _, y, u, _ in truths])
+    records = []
+    for trial, truth, estimate in zip(configs, truths, estimates):
+        true_modes, true_states, y, u, u_applied = truth
+        est_modes, est_states, fallbacks, failure = estimate
+        fail_step, fail_reason, _ = failure or (None, None, None)
+        records.append(TrialRecord(
+            steps=trial.steps, estimators=names, true_modes=true_modes, est_modes=est_modes,
+            true_states=true_states, est_states=est_states, y=y, u=u,
+            u_applied=u_applied, fallbacks=fallbacks, seed=trial.seed,
+            failed=failure is not None, fail_step=fail_step, fail_reason=fail_reason,
+        ))
+    return records
 
 
 def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRecord:
@@ -329,17 +409,7 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
     estimator numerical failure marks the record failed with the step index
     instead of raising; the truth arrays stay complete.
     """
-    names = tuple(estimator_names)
-    aug = build_augmented(cfg.plant, cfg.strategy)
-    true_modes, true_states, y, u, u_applied = _simulate_truth(cfg, aug)
-    est_modes, est_states, fallbacks, failure = _run_estimators(cfg, names, aug, u, y)
-    fail_step, fail_reason, _ = failure or (None, None, None)
-    return TrialRecord(
-        steps=cfg.steps, estimators=names, true_modes=true_modes, est_modes=est_modes,
-        true_states=true_states, est_states=est_states, y=y, u=u,
-        u_applied=u_applied, fallbacks=fallbacks, seed=cfg.seed,
-        failed=failure is not None, fail_step=fail_step, fail_reason=fail_reason,
-    )
+    return _simulate_trials([cfg], tuple(estimator_names))[0]
 
 
 def _simulate_star(args) -> TrialRecord:
@@ -356,8 +426,12 @@ def run_monte_carlo(
 ) -> Iterator[TrialRecord]:
     """Yield ``n_trials`` independent trial records in trial order.
 
-    Trial t runs with seed ``derive_trial_seed(base_seed, t)``; records are
-    identical whatever ``n_jobs`` is, because each trial owns its streams.
+    Trial t runs with seed ``derive_trial_seed(base_seed, t)``. With one job
+    the trials run in batches whose estimators step in lockstep, as many
+    trials to a batch as fit ``MAX_CYCLE_ROWS`` Kalman rows; with more, each
+    trial runs alone in a worker process. Records are identical either way,
+    and equal to :func:`simulate_trial`'s, because each trial owns its
+    streams and every row of a batched step is computed as it is alone.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -367,8 +441,10 @@ def run_monte_carlo(
         for t in range(n_trials)
     ]
     if n_jobs <= 1:
-        for trial_cfg in configs:
-            yield simulate_trial(trial_cfg, names)
+        rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
+        size = max(1, MAX_CYCLE_ROWS // max(rows, 1))
+        for first in range(0, n_trials, size):
+            yield from _simulate_trials(configs[first:first + size], names)
         return
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~2 MB RSS
 
@@ -389,7 +465,7 @@ def replay_estimators(cfg: TrialConfig, estimator_names, u: np.ndarray, y: np.nd
         raise ValueError("u and y must cover the same steps")
     names = tuple(estimator_names)
     aug = build_augmented(cfg.plant, cfg.strategy)
-    modes, states, fallbacks, failure = _run_estimators(cfg, names, aug, u, y)
+    [(modes, states, fallbacks, failure)] = _run_estimators(cfg, names, aug, [(u, y)])
     if failure is not None:
         raise failure[2]
     return {name: (modes[name], states[name], fallbacks[name]) for name in names}

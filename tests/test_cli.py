@@ -385,3 +385,69 @@ def test_more_links_than_the_bound_exit_2(tmp_path, capsys, key):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert (f"error: {key}: number of links must be an integer in 0..10, got 11"
             in capsys.readouterr().err)
+
+
+def _with_sequence(data, value):
+    data["input"] = {"sequence": [[1.0, 1.0]] * 100 + [[value, 1.0]]}
+
+
+def _with_arma(data, value):
+    data["arma"] = {"a": [0.5], "b": [[[0.1, value], [0.0, 0.1]]], "c": [0.5],
+                    "lam": [[2.5e-3, 0.0], [0.0, 2.5e-3]]}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda d: d.update(x0=[float("nan"), 1.0]), "trial: x0 must be finite"),
+     (lambda d: d.update(u_init_applied=[1.0, float("inf")]),
+      "trial: u_init_applied must be finite"),
+     (lambda d: d["input"].update(std=[10.0, float("nan")]), "trial: input_std must be finite"),
+     (lambda d: _with_sequence(d, float("-inf")), "trial: input_sequence must be finite"),
+     (lambda d: d["estimator_init"].update(x0=[0.0, float("nan"), 0.0, 0.0]),
+      "trial: est_x0 must be finite"),
+     (lambda d: d.update(resample_x0=True, x0_std=float("nan")), "trial: x0_std must be finite"),
+     (lambda d: d.update(held_cov_floor=float("inf")), "trial: held_cov_floor must be finite"),
+     (lambda d: d.update(held_cov_floor=float("nan")), "trial: held_cov_floor must be finite"),
+     (lambda d: _with_arma(d, float("nan")), "arma: b contains non-finite entries"),
+     (lambda d: d["chain"]["links"][1].__setitem__(1, [float("nan"), 0.6]),
+      "chain.links: link chain row 2 has entries outside [0, 1]"),
+     (lambda d: d.update(chain={"matrix": [[0.25] * 4] * 2 + [[float("nan"), 0.0, 0.0, 1.0]]
+                                + [[0.25] * 4]}),
+      "chain: transition matrix row 3 has entries outside [0, 1]")],
+    ids=["x0", "u_init_applied", "input.std", "input.sequence", "estimator_init.x0",
+         "x0_std", "held_cov_floor-inf", "held_cov_floor-nan", "arma.b", "chain.links",
+         "chain.matrix"],
+)
+def test_non_finite_config_values_exit_2(tmp_path, capsys, edit, message):
+    """A JSON NaN or Infinity in an initial state, an input, a scale, the
+    input-output model or the mode chain is rejected at load, naming the
+    field, before any trial runs."""
+    data = cstr5_config()
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("width", ["0", "-1", "150", "nan"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_histogram_bin_width_exits_2_before_any_trial(tmp_path, capsys, width, source):
+    """A bin width outside (0, 100], or NaN, is refused when the config is
+    built, from the flag or the config key alike: no trial runs and no
+    output directory appears."""
+    out = tmp_path / "out"
+    if source == "flag":
+        args = _small_args(out, ("--emit-steps", "--hist-bin-width", width))
+    else:
+        data = cstr5_config()
+        data.update(hist_bin_width=float(width), trials=3, steps=12, seed=7, emit_steps=True)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        args = ["run", "--config", str(path), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert f"hist_bin_width must be in (0, 100], got {float(width)}" in err
+    assert not out.exists()

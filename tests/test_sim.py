@@ -34,27 +34,25 @@ def preset_trial():
     return load_config("cstr5").trial
 
 
-def _records_equal(a, b) -> bool:
-    if a.estimators != b.estimators or a.failed != b.failed:
-        return False
-    for name in ("true_modes", "true_states", "y", "u", "u_applied"):
-        if not np.array_equal(getattr(a, name), getattr(b, name)):
-            return False
-    for name in a.estimators:
-        if not np.array_equal(a.est_modes[name], b.est_modes[name]):
-            return False
-        if not np.array_equal(a.est_states[name], b.est_states[name]):
-            return False
-        if not np.array_equal(a.fallbacks[name], b.fallbacks[name]):
-            return False
-    return True
+def _assert_records_identical(a, b):
+    """Every field of two records equal, arrays by array_equal."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, dict):
+            assert x.keys() == y.keys(), field.name
+            for key in x:
+                assert np.array_equal(x[key], y[key], equal_nan=True), (field.name, key)
+        elif isinstance(x, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), field.name
+        else:
+            assert x == y, field.name
 
 
 def test_same_seed_reproduces_record_exactly(preset_trial):
     cfg = dataclasses.replace(preset_trial, steps=40, seed=777)
     rec1 = simulate_trial(cfg)
     rec2 = simulate_trial(cfg)
-    assert _records_equal(rec1, rec2)
+    _assert_records_identical(rec1, rec2)
 
 
 def test_record_shapes_and_ranges(preset_trial):
@@ -162,7 +160,7 @@ def test_monte_carlo_single_trial_matches_simulate(preset_trial):
     direct = simulate_trial(
         dataclasses.replace(cfg, seed=derive_trial_seed(404, 0)), ("alg1",)
     )
-    assert _records_equal(rec, direct)
+    _assert_records_identical(rec, direct)
 
 
 def test_monte_carlo_parallel_matches_serial(preset_trial):
@@ -171,7 +169,7 @@ def test_monte_carlo_parallel_matches_serial(preset_trial):
     parallel = list(run_monte_carlo(cfg, 6, 99, ("alg1", "imm"), n_jobs=2))
     assert len(serial) == len(parallel) == 6
     for a, b in zip(serial, parallel):
-        assert _records_equal(a, b)
+        _assert_records_identical(a, b)
 
 
 def test_resample_x0_option(preset_trial):
@@ -271,8 +269,12 @@ ORDERS = [names for k in (1, 2, 3) for names in itertools.permutations(ESTIMATOR
 QUAD4 = Path(__file__).resolve().parents[1] / "perfbench" / "quad4.json"
 
 
+def _beliefs(est):
+    return est.beliefs + [est.combined_belief] if isinstance(est, ImmEstimator) else [est.belief]
+
+
 def _final_beliefs(est):
-    beliefs = est.beliefs + [est.combined_belief] if isinstance(est, ImmEstimator) else [est.belief]
+    beliefs = _beliefs(est)
     return [est.posterior] + [b.mean for b in beliefs] + [b.cov for b in beliefs]
 
 
@@ -321,9 +323,13 @@ def test_bank_step_equals_one_estimator_at_a_time(preset_trial, plant, names, mo
 
 
 def _bad_input_trial(trial, value):
+    """Trial whose step-5 input is ``value``. The row is written after the
+    config's checks, which refuse a non-finite input, so that a NaN reaches
+    the estimators as a signal would at run time."""
     useq = np.random.default_rng(3).normal(scale=10.0, size=(21, 2))
-    useq[5] = value
-    return dataclasses.replace(trial, steps=20, input_std=None, input_sequence=useq, seed=4)
+    cfg = dataclasses.replace(trial, steps=20, input_std=None, input_sequence=useq, seed=4)
+    cfg.input_sequence[5] = value
+    return cfg
 
 
 def _zero_r_trial(trial):
@@ -366,15 +372,20 @@ def test_bank_step_failure_equals_one_estimator_at_a_time(
 
 
 def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial):
-    """An estimator that fails after the stacked cycle leaves the estimators
-    ahead of it in the bank as they were: none commits before all succeed."""
-    cfg = dataclasses.replace(preset_trial, steps=5, seed=2)
-    rec = simulate_trial(cfg, ())
+    """An estimator that fails after the stacked cycle leaves every other
+    estimator of the batch as it was, those of the other trial's bank and
+    those ahead of it in its own bank: none commits before all succeed."""
+    cfg = dataclasses.replace(preset_trial, steps=5)
+    recs = [simulate_trial(dataclasses.replace(cfg, seed=seed), ()) for seed in (2, 3)]
     aug = sim.build_augmented(cfg.plant, cfg.strategy)
-    bank = tuple(sim._build_estimators(cfg, ("alg1", "alg2", "imm"), aug, 0.1).values())
-    for est in bank:
-        est.start(rec.u[0], rec.y[0])
-    imm_step = bank[2]._step
+    arma = sim.ss_to_arma(cfg.plant)
+    banks = [tuple(sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, 0.1, arma).values())
+             for _ in recs]
+    for bank, rec in zip(banks, recs):
+        for est in bank:
+            est.start(rec.u[0], rec.y[0])
+    _bank_step(banks, aug, 0.1, [rec.u[1] for rec in recs], [rec.y[1] for rec in recs])
+    imm_step = banks[1][2]._step
 
     def failing_step(u, y, force_mode):
         step = imm_step(u, y, force_mode)
@@ -382,37 +393,54 @@ def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial):
         yield
         raise NumericalError("late failure")
 
-    bank[2]._step = failing_step
-    before = [_final_beliefs(est) for est in bank[:2]]
+    banks[1][2]._step = failing_step
+    kept = banks[0] + banks[1][:2]
+    before = [_final_beliefs(est) for est in kept]
     with pytest.raises(NumericalError, match="late failure"):
-        _bank_step(bank, aug, 0.1, rec.u[1], rec.y[1])
-    for est, saved in zip(bank[:2], before):
+        _bank_step(banks, aug, 0.1, [rec.u[2] for rec in recs], [rec.y[2] for rec in recs])
+    for est, saved in zip(kept, before):
         for got, want in zip(_final_beliefs(est), saved, strict=True):
             assert np.array_equal(got, want)
-    assert np.array_equal(bank[0]._y_hist[0], rec.y[0])
-    assert np.array_equal(bank[1]._last_u, rec.u[0])
+    for bank, rec in zip(banks, recs):
+        assert np.array_equal(bank[0]._y_hist[0], rec.y[1])
+        assert np.array_equal(bank[1]._last_u, rec.u[1])
 
 
 # ---------------------------------------------------------------------------
 # Properties over random plants
 # ---------------------------------------------------------------------------
 
-def _random_trial(r, strategy, seed):
-    """A stable random plant with C = I and Q = 0 (so alg1 can derive its
-    input-output form) behind r lossy links with random chains."""
+def _random_trial(r, strategy, seed, output="identity", steps=60):
+    """A stable random plant behind r lossy links with random chains.
+
+    ``output`` "identity" gives C = I and Q = 0, "square" a random
+    invertible C and Q = 0 (alg1 can derive its input-output form from
+    both), and "noisy" a random C with 1..3 outputs and Q != 0 (alg1
+    cannot)."""
     rng = np.random.default_rng([r, seed])
     n = int(rng.integers(1, 4))
     A = rng.normal(size=(n, n))
     A *= rng.uniform(0.3, 0.95) / np.max(np.abs(np.linalg.eigvals(A)))
-    plant = PlantModel(A=A, B=rng.normal(size=(n, r)), C=np.eye(n), Q=np.zeros((n, n)),
-                       R=rng.uniform(1e-3, 1e-1) * np.eye(n))
+    B = rng.normal(size=(n, r))
+    r_var = rng.uniform(1e-3, 1e-1)
     links = [LinkChain([[p, 1.0 - p], [1.0 - q, q]])
              for p, q in rng.uniform(0.05, 0.95, size=(r, 2))]
+    x0 = rng.normal(size=n)
+    input_std = rng.uniform(1.0, 10.0)
+    C, Q = np.eye(n), np.zeros((n, n))
+    if output == "square":
+        basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        C = basis * rng.uniform(0.5, 2.0, size=n)
+    elif output == "noisy":
+        C = rng.normal(size=(int(rng.integers(1, 4)), n))
+        G = rng.normal(size=(n, n))
+        Q = rng.uniform(1e-3, 1e-1) * G @ G.T
+    plant = PlantModel(A=A, B=B, C=C, Q=Q, R=r_var * np.eye(C.shape[0]))
     dim = n + r if strategy is LossStrategy.HOLD else n
     return TrialConfig(
-        plant=plant, strategy=strategy, chain=kron_compose(links), steps=60,
-        x0=rng.normal(size=n), est_x0=np.zeros(dim), est_P0=0.1 * np.eye(dim),
-        input_std=rng.uniform(1.0, 10.0), seed=seed,
+        plant=plant, strategy=strategy, chain=kron_compose(links), steps=steps,
+        x0=x0, est_x0=np.zeros(dim), est_P0=0.1 * np.eye(dim),
+        input_std=input_std, seed=seed,
     )
 
 
@@ -431,8 +459,7 @@ def test_random_plants_keep_posteriors_and_beliefs_healthy(r, monkeypatch):
             res = step(est, *args, **kwargs)
             assert np.all(res.posterior >= 0.0)
             assert abs(res.posterior.sum() - 1.0) <= 1e-12
-            beliefs = est.beliefs + [est.combined_belief] if cls is ImmEstimator else [est.belief]
-            for belief in beliefs:
+            for belief in _beliefs(est):
                 belief.validate()
             checked[cls.key] += 1
             return res
@@ -450,3 +477,152 @@ def test_random_plants_keep_posteriors_and_beliefs_healthy(r, monkeypatch):
             assert not rec.failed and failure is None, (strategy, seed, rec.fail_reason)
             _assert_same_estimates(rec, ESTIMATOR_KEYS, modes, states, fallbacks)
     assert checked == {key: 2 * 3 * 60 for key in ESTIMATOR_KEYS}
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo trials in lockstep against each trial run alone
+# ---------------------------------------------------------------------------
+
+def _assert_monte_carlo_equals_alone(cfg, n_trials, base_seed, names, records):
+    assert len(records) == n_trials
+    for t, rec in enumerate(records):
+        trial = dataclasses.replace(cfg, seed=derive_trial_seed(base_seed, t))
+        _assert_records_identical(rec, simulate_trial(trial, names))
+
+
+@pytest.mark.parametrize("batch, n_trials, steps", [(1, 9, 12), (7, 16, 12), (100, 100, 3)])
+def test_monte_carlo_batches_equal_trials_run_alone(preset_trial, monkeypatch, batch,
+                                                    n_trials, steps):
+    """Batches of 1, 7 and 100 trials (a cstr5 trial stacks 6 Kalman rows)
+    give records equal, field for field, to simulate_trial's; each batch's
+    trials step in lockstep, one bank step per step."""
+    monkeypatch.setattr(sim, "MAX_CYCLE_ROWS", 6 * batch)
+    calls = Counter()
+    real = sim._bank_step
+
+    def counted(banks, *args):
+        calls[len(banks)] += 1
+        return real(banks, *args)
+
+    monkeypatch.setattr(sim, "_bank_step", counted)
+    cfg = dataclasses.replace(preset_trial, steps=steps)
+    records = list(run_monte_carlo(cfg, n_trials, 55, ESTIMATOR_KEYS))
+    sizes = [min(batch, n_trials - first) for first in range(0, n_trials, batch)]
+    assert calls == Counter({size: steps * sizes.count(size) for size in set(sizes)})
+    monkeypatch.undo()
+    _assert_monte_carlo_equals_alone(cfg, n_trials, 55, ESTIMATOR_KEYS, records)
+
+
+def test_monte_carlo_batch_size_follows_the_row_bound(preset_trial, monkeypatch):
+    """As many trials to a batch as fit MAX_CYCLE_ROWS stacked rows: a
+    cstr5 trial stacks 1 + 1 + 4 rows with all three estimators, 4 with
+    imm alone; a trial with no estimator stacks none."""
+    batches = []
+
+    def recording(configs, names):
+        batches.append(len(configs))
+        return [None] * len(configs)
+
+    monkeypatch.setattr(sim, "_simulate_trials", recording)
+    all_three, imm_alone = sim.MAX_CYCLE_ROWS // 6, sim.MAX_CYCLE_ROWS // 4
+    for n_trials, names in [(all_three + 5, ESTIMATOR_KEYS), (imm_alone + 1, ("imm",)),
+                            (3, ())]:
+        assert len(list(run_monte_carlo(preset_trial, n_trials, 1, names))) == n_trials
+    assert batches == [all_three, 5, imm_alone, 1, 3]
+
+
+@pytest.mark.parametrize("names", [ESTIMATOR_KEYS, ("imm", "alg2", "alg1")], ids="-".join)
+def test_batch_with_failing_trials_equals_trials_run_alone(preset_trial, names):
+    """Trials that fail in a batch (a 1e308 input row that overflows the
+    plant, a NaN input row) fail as they do alone, with the same step,
+    reason, estimates and complete truth; the other trials of the batch
+    run on to the end unchanged."""
+    good = [dataclasses.replace(preset_trial, steps=20, seed=seed) for seed in (1, 2, 3)]
+    configs = [good[0], _bad_input_trial(preset_trial, 1e308), good[1],
+               _bad_input_trial(preset_trial, np.nan), good[2]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        batched = sim._simulate_trials(configs, names)
+        alone = [simulate_trial(trial, names) for trial in configs]
+    assert [rec.failed for rec in batched] == [False, True, False, True, False]
+    assert [rec.fail_step for rec in batched] == [None, 6, None, 5, None]
+    for got, want in zip(batched, alone, strict=True):
+        _assert_records_identical(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Properties of batched runs: random plants, long horizons, degenerate chains
+# ---------------------------------------------------------------------------
+
+def _check_batched_run(cfg, names, n_trials, monkeypatch):
+    """Run a Monte Carlo of n_trials, checking after every lockstep step that
+    each posterior is a probability vector and each belief a finite
+    symmetric PSD Gaussian; then check that no record failed, silently or
+    flagged, and that each equals its trial run alone."""
+    checked = Counter()
+    real = sim._bank_step
+
+    def checking(banks, *args):
+        results = real(banks, *args)
+        checked["steps"] += 1
+        for bank, bank_results in zip(banks, results):
+            for est, res in zip(bank, bank_results):
+                assert np.all(res.posterior >= 0.0)
+                assert abs(res.posterior.sum() - 1.0) <= 1e-12
+                for belief in _beliefs(est):
+                    belief.validate()
+                checked[est.key] += 1
+        return results
+
+    monkeypatch.setattr(sim, "_bank_step", checking)
+    records = list(run_monte_carlo(cfg, n_trials, cfg.seed, names))
+    monkeypatch.undo()
+    assert checked == {"steps": cfg.steps, **{key: n_trials * cfg.steps for key in names}}
+    s = cfg.chain.s
+    for rec in records:
+        assert not rec.failed, rec.fail_reason
+        for name in names:
+            assert np.all(np.isfinite(rec.est_states[name])), name
+            assert np.all((rec.est_modes[name] >= 1) & (rec.est_modes[name] <= s)), name
+    if n_trials > 1:  # a batch of one is simulate_trial itself
+        _assert_monte_carlo_equals_alone(cfg, n_trials, cfg.seed, names, records)
+
+
+@pytest.mark.parametrize("strategy", list(LossStrategy), ids=lambda s: s.value)
+@pytest.mark.parametrize("output, r, names", [
+    ("identity", 4, ESTIMATOR_KEYS),
+    ("square", 2, ESTIMATOR_KEYS),
+    ("noisy", 2, ("alg2", "imm")),
+])
+def test_random_plants_in_lockstep_stay_healthy(output, r, names, strategy, monkeypatch):
+    """Random stable plants at r = 4 (16 modes), with an invertible C other
+    than the identity, and with several or fewer outputs than states and
+    process noise (where alg1 has no input-output form): three trials in
+    lockstep keep every property."""
+    cfg = _random_trial(r, strategy, 7, output=output, steps=30)
+    if output != "identity":
+        assert not np.array_equal(cfg.plant.C, np.eye(cfg.plant.n))
+    if output == "noisy":
+        assert np.any(cfg.plant.Q)
+    _check_batched_run(cfg, names, 3, monkeypatch)
+
+
+def test_long_horizon_in_lockstep_stays_healthy(monkeypatch):
+    """A 1000-step horizon on a random hold-strategy plant."""
+    cfg = _random_trial(2, LossStrategy.HOLD, 11, steps=1000)
+    _check_batched_run(cfg, ESTIMATOR_KEYS, 1, monkeypatch)
+
+
+@pytest.mark.parametrize("strategy", list(LossStrategy), ids=lambda s: s.value)
+def test_absorbing_chain_in_lockstep_stays_healthy(preset_trial, strategy, monkeypatch):
+    """A chain with an absorbing all-deliver mode and zero-probability
+    transitions, started in a transient mode: unreachable modes get prior
+    zero (IMM keeps their filters unmixed) and every property holds."""
+    chain = TransitionMatrix([[0.5, 0.5, 0.0, 0.0],
+                              [0.0, 0.6, 0.0, 0.4],
+                              [0.3, 0.0, 0.7, 0.0],
+                              [0.0, 0.0, 0.0, 1.0]])
+    dim = 4 if strategy is LossStrategy.HOLD else 2
+    cfg = dataclasses.replace(preset_trial, chain=chain, strategy=strategy, initial_mode=3,
+                              steps=40, est_x0=np.zeros(dim), est_P0=0.1 * np.eye(dim),
+                              seed=21)
+    _check_batched_run(cfg, ESTIMATOR_KEYS, 3, monkeypatch)

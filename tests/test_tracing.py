@@ -1,7 +1,8 @@
 """The benchmark's tracer (perfbench/tracer.py) patches package names given
 as strings. These checks keep every such name a module attribute that the
 estimators actually call, so that traced call counts stay meaningful: a
-trial's bank step and each online estimator's step."""
+trial's bank step, a Monte Carlo batch's lockstep step and each online
+estimator's step."""
 
 import dataclasses
 import importlib.util
@@ -13,7 +14,7 @@ import ncsmode.cli
 from ncsmode.cli import load_config
 from ncsmode.filters import Alg1Estimator, Alg2Estimator, ImmEstimator
 from ncsmode.model import build_augmented, ss_to_arma
-from ncsmode.sim import ESTIMATOR_KEYS, simulate_trial
+from ncsmode.sim import ESTIMATOR_KEYS, run_monte_carlo, simulate_trial
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -54,6 +55,29 @@ def test_traced_trial_scores_candidates_once_per_step():
     assert totals["markov.sample_next"] == steps - 1
     for key in ESTIMATOR_KEYS:
         assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == 1
+        assert totals[f"filters.{key}.step"] == 0
+
+
+def test_traced_monte_carlo_runs_one_cycle_per_step():
+    """A Monte Carlo batch steps its trials in lockstep: each step runs one
+    Kalman cycle for all trials' banks, while every trial still scores its
+    candidates once per estimator; the models are built once per batch."""
+    steps, trials = 5, 4
+    cfg = dataclasses.replace(load_config("cstr5").trial, steps=steps)
+    records, _, names = _traced(lambda: list(run_monte_carlo(cfg, trials, 9, ESTIMATOR_KEYS)))
+    assert len(records) == trials and not any(rec.failed for rec in records)
+
+    totals = Counter(names)
+    assert totals["filters.kf_predict"] == totals["filters.kf_update"] == steps
+    for fn in ("alg1_predict_output", "alg2_predict"):
+        assert totals[f"filters.{fn}"] == trials * steps, fn
+    assert totals["model.build_augmented"] == 1
+    assert totals["model.ss_to_arma"] == 1
+    assert totals["model.mode_tables"] == 1
+    assert totals["markov.sample_next"] == trials * (steps - 1)
+    assert totals["sim.simulate_trial"] == 0
+    for key in ESTIMATOR_KEYS:
+        assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == trials
         assert totals[f"filters.{key}.step"] == 0
 
 
