@@ -1,7 +1,7 @@
 """Command-line experiment runner.
 
 Experiments are described by a single JSON config (schema documented in the
-README and mirrored by :func:`config_to_dict`). The bundled ``cstr5`` preset
+README and held by the field table ``_FIELDS``). The bundled ``cstr5`` preset
 is a discretized two-state stirred-tank reactor driven through two lossy
 input links with the hold strategy; ``ncsmode run --preset cstr5`` runs the
 full Monte Carlo comparison of the three estimators and emits metrics,
@@ -11,19 +11,19 @@ histograms and plot-ready series as CSV/JSON.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import reprlib
 import sys
 import time
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .markov import LinkChain, TransitionMatrix, kron_compose
 from .metrics import MetricsSummary, _check_bin_width, aggregate
-from .model import ArmaModel, LossStrategy, ModeSpace, PlantModel
+from .model import ArmaModel, AugmentedModel, LossStrategy, ModeSpace, PlantModel
 from .sim import ESTIMATOR_KEYS, TrialConfig, TrialRecord, run_monte_carlo
 
 __all__ = [
@@ -42,7 +42,7 @@ STEP_CSV_SCHEMA = "ncsmode-steps-v1"
 
 PRESET_NAMES = ("cstr5",)
 
-# keys each config section may hold; the top level holds the preset's keys
+# keys each config section may hold; chain and input take exactly one
 _SECTION_KEYS = {
     "plant": ("A", "B", "C", "Q", "R"),
     "arma": ("a", "b", "c", "lam"),
@@ -50,6 +50,33 @@ _SECTION_KEYS = {
     "input": ("std", "sequence"),
     "estimator_init": ("x0", "P0", "prior"),
 }
+
+# The top-level keys in order, each with its JSON kind, its default (a None
+# default also admits null) and the attribute it fills, as a path from the
+# ExperimentConfig. A section (kind "an object") takes the keys above and
+# fills the TrialConfig attributes that config_from_dict builds from them.
+_FIELDS = (
+    ("plant", "an object", None, None),
+    ("arma", "an object", None, None),
+    ("strategy", "a string", "hold", "trial.strategy"),
+    ("chain", "an object", None, None),
+    ("steps", "an integer", 100, "trial.steps"),
+    ("input", "an object", None, None),
+    ("x0", "a number or a list of numbers", None, "trial.x0"),
+    ("u_init_applied", "a number or a list of numbers", None, "trial.u_init_applied"),
+    ("initial_mode", "an integer", None, "trial.initial_mode"),
+    ("resample_x0", "a boolean", False, "trial.resample_x0"),
+    ("x0_std", "a number", 1.0, "trial.x0_std"),
+    ("held_cov_floor", "a number", None, "trial.held_cov_floor"),
+    ("estimator_init", "an object", None, None),
+    ("estimators", "a list of strings", ESTIMATOR_KEYS, "estimators"),
+    ("trials", "an integer", 100, "n_trials"),
+    ("seed", "an integer", None, "seed"),
+    ("out", "a string", "results", "out"),
+    ("emit_steps", "a boolean", False, "emit_steps"),
+    ("hist_bin_width", "a number", 2.0, "hist_bin_width"),
+)
+_ROWS = {row[0]: row for row in _FIELDS}
 
 
 @dataclass(frozen=True)
@@ -75,18 +102,37 @@ class ExperimentConfig:
                 raise ValueError(
                     f"unknown estimator {name!r}; choose from {ESTIMATOR_KEYS}"
                 )
+            if self.estimators.count(name) > 1:
+                raise ValueError(f"estimator {name!r} is selected more than once")
         if not self.estimators:
             raise ValueError("select at least one estimator")
         _check_bin_width(self.hist_bin_width, "hist_bin_width")
 
 
-@contextlib.contextmanager
-def _field(name: str):
-    """Prefix validation errors with the config field that caused them."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{name}: {exc}") from None
+class _field:
+    """Prefix validation errors with the config field that caused them (a
+    class: a generator-based context manager costs about 1 us per use)."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, ValueError):
+            raise ValueError(f"{self.name}: {exc}") from None
+
+
+def _json(value):
+    """An attribute that a config key fills, as the key's JSON value."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    if isinstance(value, LossStrategy):
+        return value.value
+    return value
 
 
 def cstr5_config() -> dict:
@@ -95,9 +141,10 @@ def cstr5_config() -> dict:
     Two-state reactor discretized at 0.25 s, full state measurement with
     noise covariance 2.5e-3 I, two independent input links each following a
     two-state chain [[0.8, 0.2], [0.4, 0.6]], hold strategy, white-noise
-    excitation of std 10 per channel, 100 steps and 100 trials.
+    excitation of std 10 per channel, 100 steps and 100 trials. Every key
+    the preset does not set holds its default.
     """
-    return {
+    preset = {
         "plant": {
             "A": [[-0.8882, -0.0097], [293.8556, 2.2973]],
             "B": [[0.011, -0.0014], [-0.3602, 0.4732]],
@@ -105,17 +152,10 @@ def cstr5_config() -> dict:
             "Q": [[0.0, 0.0], [0.0, 0.0]],
             "R": [[2.5e-3, 0.0], [0.0, 2.5e-3]],
         },
-        "arma": None,
-        "strategy": "hold",
         "chain": {"links": [[[0.8, 0.2], [0.4, 0.6]], [[0.8, 0.2], [0.4, 0.6]]]},
-        "steps": 100,
         "input": {"std": [10.0, 10.0]},
         "x0": [1.0, 1.0],
         "u_init_applied": [1.0, 1.0],
-        "initial_mode": None,
-        "resample_x0": False,
-        "x0_std": 1.0,
-        "held_cov_floor": None,
         "estimator_init": {
             "x0": [0.0, 0.0, 0.0, 0.0],
             "P0": [
@@ -127,33 +167,8 @@ def cstr5_config() -> dict:
             "prior": [0.25, 0.25, 0.25, 0.25],
         },
         "estimators": ["alg1", "alg2", "imm"],
-        "trials": 100,
-        "seed": None,
-        "out": "results",
-        "emit_steps": False,
-        "hist_bin_width": 2.0,
     }
-
-
-# JSON types a top-level scalar may take; booleans are not numbers
-_JSON_TYPES = {
-    "an integer": (int,),
-    "a number": (int, float),
-    "a boolean": (bool,),
-    "a string": (str,),
-}
-
-
-def _scalar(data: dict, key: str, kind: str, default, nullable: bool = False):
-    """The value of ``key`` (``default`` when absent), which must already
-    have the JSON type ``kind``: nothing is coerced."""
-    value = data.get(key, default)
-    if value is None and nullable:
-        return None
-    types = _JSON_TYPES[kind]
-    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
-        raise ValueError(f"{key}: expected {kind}, got {value!r}")
-    return value
+    return {key: preset.get(key, default) for key, _, default, _ in _FIELDS}
 
 
 _NUMBER_TYPES = frozenset((int, float))  # by exact type: a boolean is not a number
@@ -168,25 +183,51 @@ def _is_numbers(value) -> bool:
     return types <= _NUMBER_TYPES or (types <= _LIST_TYPES and all(map(_is_numbers, value)))
 
 
-def _get(data: dict, key: str, default):
-    """The value of ``key``, or ``default`` when it is absent or null."""
-    value = data.get(key)
-    return default if value is None else value
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _numbers(value, key: str) -> np.ndarray:
-    """A number or a (nested) list of numbers as a float array. Anything
-    else, booleans and numeric strings included, is rejected naming ``key``."""
-    if value is None:
-        raise ValueError(f"{key}: missing")
-    if not _is_numbers(value):
-        raise ValueError(
-            f"{key}: expected a number or a list of numbers, got {reprlib.repr(value)}"
-        )
+# each JSON kind a config value may take: the test its value must already
+# pass (nothing is coerced) and the conversion to the attribute it fills
+_KINDS = {
+    "an integer": (_is_int, None),
+    "a number": (lambda v: _is_int(v) or isinstance(v, float), float),
+    "a boolean": (lambda v: isinstance(v, bool), None),
+    "a string": (lambda v: isinstance(v, str), None),
+    "a list of strings": (
+        lambda v: isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v),
+        tuple,
+    ),
+    "a number or a list of numbers": (_is_numbers, lambda v: np.array(v, dtype=float)),
+    '"uniform" or a list of numbers': (  # a mode prior; "uniform" reads as None
+        lambda v: v == "uniform" or (type(v) in _LIST_TYPES and _is_numbers(v)),
+        lambda v: None if v == "uniform" else np.array(v, dtype=float),
+    ),
+}
+
+
+def _value(value, kind: str, name: str):
+    """``value``, which must have the JSON kind ``kind``, converted to the
+    attribute it fills; anything else is rejected naming ``name``."""
+    test, convert = _KINDS[kind]
+    if not test(value):
+        raise ValueError(f"{name}: expected {kind}, got {reprlib.repr(value)}")
+    if convert is None:
+        return value
     try:
-        return np.array(value, dtype=float)
+        return convert(value)
     except ValueError as exc:  # a ragged list
-        raise ValueError(f"{key}: {exc}") from None
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _numbers(value, name: str) -> np.ndarray:
+    return _value(value, "a number or a list of numbers", name)
+
+
+def _read(data: dict, key: str, kind: str, default):
+    """The top-level value of ``key``, ``default`` when absent."""
+    value = data.get(key, default)
+    return None if value is None and default is None else _value(value, kind, key)
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -197,11 +238,12 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     wrong JSON type: integers take integers, not booleans or fractions;
     switches take booleans; ``estimators`` a list of strings; matrices,
     vectors and scales a number or a (nested) list of numbers; and
-    ``estimator_init.prior`` ``"uniform"`` or a list of numbers.
+    ``estimator_init.prior`` ``"uniform"`` or a list of numbers. ``chain``
+    and ``input`` take exactly one of their two keys.
     """
     if not isinstance(data, dict):
         raise ValueError(f"the config must be a JSON object, not {type(data).__name__}")
-    parts = [("", data, cstr5_config())]
+    parts = [("", data, _ROWS)]
     parts += [(f"{name}: ", data.get(name), keys) for name, keys in _SECTION_KEYS.items()]
     for where, part, known in parts:
         if part is not None and not isinstance(part, dict):
@@ -209,170 +251,88 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         unknown = sorted(set(part or ()) - set(known))
         if unknown:
             raise ValueError(f"{where}unknown key(s) {', '.join(map(repr, unknown))}")
-    with _field("plant"):
-        pdata = data.get("plant")
-        if not isinstance(pdata, dict):
-            raise ValueError("missing section")
-    plant = PlantModel(
-        **{key: _numbers(pdata.get(key), f"plant.{key}") for key in _SECTION_KEYS["plant"]}
-    )
+    # each section's given values: a null one reads as absent
+    given = {
+        name: {key: value for key, value in (data.get(name) or {}).items() if value is not None}
+        for name in _SECTION_KEYS
+    }
+    for name in ("chain", "input"):
+        if len(given[name]) != 1:
+            first, second = _SECTION_KEYS[name]
+            raise ValueError(f"{name}: give exactly one of {first!r} or {second!r}")
+
+    trial, run = {}, {}  # TrialConfig and ExperimentConfig arguments
+    for key, kind, default, attr in _FIELDS:
+        if attr is not None:
+            owner, _, name = attr.rpartition(".")
+            (trial if owner else run)[name] = _read(data, key, kind, default)
+
+    if data.get("plant") is None:
+        raise ValueError("plant: missing section")
+    pdata = given["plant"]
+    values = {key: _numbers(pdata.get(key), f"plant.{key}") for key in _SECTION_KEYS["plant"]}
+    plant = trial["plant"] = PlantModel(**values)
     with _field("plant.B"):
         ModeSpace(plant.r)  # one column per input link: bound the link count
-
-    arma = None
-    adata = data.get("arma")
-    if adata is not None:
-        missing = [key for key in _SECTION_KEYS["arma"] if key not in adata]
+    if data.get("arma") is not None:
+        missing = [key for key in _SECTION_KEYS["arma"] if key not in given["arma"]]
         if missing:
             raise ValueError(f"arma: missing key(s) {', '.join(map(repr, missing))}")
-        values = {key: _numbers(adata[key], f"arma.{key}") for key in _SECTION_KEYS["arma"]}
+        values = {key: _numbers(value, f"arma.{key}") for key, value in given["arma"].items()}
         with _field("arma"):
-            arma = ArmaModel(**values)
-
+            trial["arma"] = ArmaModel(**values)
     with _field("strategy"):
-        strategy = LossStrategy(data.get("strategy", "hold"))
-
-    cdata = data.get("chain") or {}
-    if cdata.get("matrix") is not None:
-        matrix = _numbers(cdata["matrix"], "chain.matrix")
+        strategy = trial["strategy"] = LossStrategy(trial["strategy"])
+    [(key, value)] = given["chain"].items()
+    value = _numbers(value, f"chain.{key}")
+    if key == "matrix":
         with _field("chain"):
-            chain = TransitionMatrix(matrix)
-    elif cdata.get("links") is not None:
-        links = _numbers(cdata["links"], "chain.links")
+            trial["chain"] = TransitionMatrix(value)
+    else:
         with _field("chain.links"):
-            chain = kron_compose([LinkChain(link) for link in links])
-    else:
-        raise ValueError("chain: give either 'matrix' or 'links'")
-
-    steps = _scalar(data, "steps", "an integer", 100)
-
-    idata = data.get("input") or {}
-    input_std = None
-    input_sequence = None
-    if idata.get("std") is not None:
-        input_std = _numbers(idata["std"], "input.std")
-    elif idata.get("sequence") is not None:
-        input_sequence = _numbers(idata["sequence"], "input.sequence")
-    else:
-        raise ValueError("input: give either 'std' or 'sequence'")
+            trial["chain"] = kron_compose([LinkChain(link) for link in value])
+    [(key, value)] = given["input"].items()
+    trial[f"input_{key}"] = _numbers(value, f"input.{key}")
 
     # an absent or null initial reads as its default
-    aug_dim = plant.n + (plant.r if strategy is LossStrategy.HOLD else 0)
-    edata = data.get("estimator_init") or {}
-    est_x0 = _numbers(_get(edata, "x0", [0.0] * aug_dim), "estimator_init.x0")
-    p0 = _numbers(_get(edata, "P0", 0.1), "estimator_init.P0")
-    est_P0 = p0 * np.eye(aug_dim) if p0.ndim == 0 else p0
-    prior = _get(edata, "prior", "uniform")
-    if isinstance(prior, (list, tuple)):
-        est_prior = _numbers(prior, "estimator_init.prior")
-    elif prior == "uniform":
-        est_prior = None
-    else:
-        raise ValueError(
-            f"estimator_init.prior: expected \"uniform\" or a list of numbers, got {prior!r}"
-        )
-    x0 = _numbers(_get(data, "x0", [0.0] * plant.n), "x0")
-    u_init = data.get("u_init_applied")
-    u_init = None if u_init is None else _numbers(u_init, "u_init_applied")
-
-    estimators = data.get("estimators", list(ESTIMATOR_KEYS))
-    if not isinstance(estimators, (list, tuple)) or not all(
-        isinstance(name, str) for name in estimators
-    ):
-        raise ValueError(f"estimators: expected a list of strings, got {estimators!r}")
-    initial_mode = _scalar(data, "initial_mode", "an integer", None, nullable=True)
-    resample_x0 = _scalar(data, "resample_x0", "a boolean", False)
-    x0_std = _scalar(data, "x0_std", "a number", 1.0)
-    held_cov_floor = _scalar(data, "held_cov_floor", "a number", None, nullable=True)
-    n_trials = _scalar(data, "trials", "an integer", 100)
-    seed = _scalar(data, "seed", "an integer", None, nullable=True)
-    out = _scalar(data, "out", "a string", "results")
-    emit_steps = _scalar(data, "emit_steps", "a boolean", False)
-    hist_bin_width = _scalar(data, "hist_bin_width", "a number", 2.0)
+    if trial["x0"] is None:
+        trial["x0"] = np.zeros(plant.n)
+    aug_dim = AugmentedModel(plant, strategy).state_dim
+    init = given["estimator_init"]
+    trial["est_x0"] = _numbers(init.get("x0", [0.0] * aug_dim), "estimator_init.x0")
+    p0 = _numbers(init.get("P0", 0.1), "estimator_init.P0")
+    trial["est_P0"] = p0 * np.eye(aug_dim) if p0.ndim == 0 else p0
+    trial["est_prior"] = _value(
+        init.get("prior", "uniform"), '"uniform" or a list of numbers', "estimator_init.prior"
+    )
 
     with _field("trial"):
-        trial = TrialConfig(
-            plant=plant,
-            strategy=strategy,
-            chain=chain,
-            steps=steps,
-            x0=x0,
-            est_x0=est_x0,
-            est_P0=est_P0,
-            input_std=input_std,
-            input_sequence=input_sequence,
-            u_init_applied=u_init,
-            est_prior=est_prior,
-            arma=arma,
-            initial_mode=initial_mode,
-            resample_x0=resample_x0,
-            x0_std=float(x0_std),
-            held_cov_floor=None if held_cov_floor is None else float(held_cov_floor),
-        )
-
+        trial = TrialConfig(**trial)
     with _field("experiment"):
-        return ExperimentConfig(
-            trial=trial,
-            estimators=tuple(estimators),
-            n_trials=n_trials,
-            seed=seed,
-            out=out,
-            emit_steps=emit_steps,
-            hist_bin_width=float(hist_bin_width),
-        )
+        return ExperimentConfig(trial=trial, **run)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
     """Canonical dict for an experiment config (inverse of config_from_dict)."""
     trial = cfg.trial
-    plant = trial.plant
-    idata = (
-        {"std": trial.input_std.tolist()}
-        if trial.input_std is not None
-        else {"sequence": trial.input_sequence.tolist()}
-    )
-    arma = trial.arma
-    return {
-        "plant": {
-            "A": plant.A.tolist(),
-            "B": plant.B.tolist(),
-            "C": plant.C.tolist(),
-            "Q": plant.Q.tolist(),
-            "R": plant.R.tolist(),
+    prior = trial.est_prior
+    sections = {
+        "plant": {key: getattr(trial.plant, key).tolist() for key in _SECTION_KEYS["plant"]},
+        "arma": None if trial.arma is None else {
+            key: getattr(trial.arma, key).tolist() for key in _SECTION_KEYS["arma"]
         },
-        "arma": None
-        if arma is None
-        else {
-            "a": arma.a.tolist(),
-            "b": arma.b.tolist(),
-            "c": arma.c.tolist(),
-            "lam": arma.lam.tolist(),
-        },
-        "strategy": trial.strategy.value,
         "chain": {"matrix": trial.chain.P.tolist()},
-        "steps": trial.steps,
-        "input": idata,
-        "x0": trial.x0.tolist(),
-        "u_init_applied": (
-            None if trial.u_init_applied is None else trial.u_init_applied.tolist()
-        ),
-        "initial_mode": trial.initial_mode,
-        "resample_x0": trial.resample_x0,
-        "x0_std": trial.x0_std,
-        "held_cov_floor": trial.held_cov_floor,
+        "input": {"std": trial.input_std.tolist()} if trial.input_std is not None
+        else {"sequence": trial.input_sequence.tolist()},
         "estimator_init": {
             "x0": trial.est_x0.tolist(),
             "P0": trial.est_P0.tolist(),
-            "prior": (
-                "uniform" if trial.est_prior is None else trial.est_prior.tolist()
-            ),
+            "prior": "uniform" if prior is None else prior.tolist(),
         },
-        "estimators": list(cfg.estimators),
-        "trials": cfg.n_trials,
-        "seed": cfg.seed,
-        "out": cfg.out,
-        "emit_steps": cfg.emit_steps,
-        "hist_bin_width": cfg.hist_bin_width,
+    }
+    return {
+        key: sections[key] if attr is None else _json(attrgetter(attr)(cfg))
+        for key, _, _, attr in _FIELDS
     }
 
 
@@ -380,20 +340,24 @@ def dump_config(cfg: ExperimentConfig) -> str:
     return json.dumps(config_to_dict(cfg), indent=2)
 
 
-def load_config(path_or_preset: str) -> ExperimentConfig:
-    """Load an experiment config from a preset name or a JSON file."""
+def _config_data(path_or_preset: str):
+    """The config data of a preset name or a JSON file."""
     if path_or_preset in PRESET_NAMES:
-        return config_from_dict(cstr5_config())
+        return cstr5_config()
     path = Path(path_or_preset)
     try:
         text = path.read_text()
     except OSError as exc:
         raise ValueError(f"cannot read config {path_or_preset!r}: {exc}") from None
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return config_from_dict(data)
+
+
+def load_config(path_or_preset: str) -> ExperimentConfig:
+    """Load an experiment config from a preset name or a JSON file."""
+    return config_from_dict(_config_data(path_or_preset))
 
 
 def _fmt(value: float) -> str:
@@ -476,10 +440,10 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         base_seed = cfg.seed
 
     out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
     t_start = time.perf_counter()
     try:
+        out_dir.mkdir(parents=True, exist_ok=True)
         records: list[TrialRecord] = []
         for t, record in enumerate(
             run_monte_carlo(
@@ -527,6 +491,11 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _names(text: str) -> list[str]:
+    """The names in a comma-separated list."""
+    return [name.strip() for name in text.split(",") if name.strip()]
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncsmode",
@@ -537,15 +506,15 @@ def _build_parser() -> argparse.ArgumentParser:
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--preset", choices=PRESET_NAMES, help="bundled experiment preset")
     src.add_argument("--config", help="path to a JSON experiment config")
+    # each flag below up to --jobs sets the config key of its own name
     run.add_argument("--trials", type=int, help="number of Monte Carlo trials")
     run.add_argument("--steps", type=int, help="simulation steps per trial")
     run.add_argument("--seed", type=int, help="Monte Carlo base seed")
-    run.add_argument(
-        "--estimators",
-        help="comma-separated subset of alg1,alg2,imm",
-    )
+    run.add_argument("--estimators", type=_names, help="comma-separated subset of alg1,alg2,imm")
     run.add_argument("--strategy", choices=["zero", "hold"], help="loss strategy override")
-    run.add_argument("--emit-steps", action="store_true", help="write per-step trial CSVs")
+    run.add_argument(
+        "--emit-steps", action="store_true", default=None, help="write per-step trial CSVs"
+    )
     run.add_argument("--out", help="output directory")
     run.add_argument("--hist-bin-width", type=float, help="%%MDE histogram bin width")
     run.add_argument("--jobs", type=int, default=1, help="parallel trial workers")
@@ -559,63 +528,41 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _fit_est_init(est_x0: np.ndarray, est_P0: np.ndarray, dim: int):
     """Resize estimator initials when a strategy override changes the state dim."""
-    cur = est_x0.shape[0]
-    if cur == dim:
-        return est_x0, est_P0
-    if cur > dim:
-        return est_x0[:dim], est_P0[:dim, :dim]
-    x0 = np.concatenate([est_x0, np.zeros(dim - cur)])
-    fill = float(np.mean(np.diag(est_P0))) if est_P0.size else 0.1
-    p0 = fill * np.eye(dim)
-    p0[:cur, :cur] = est_P0
+    k = min(est_x0.shape[0], dim)
+    x0 = np.zeros(dim)
+    x0[:k] = est_x0[:k]
+    p0 = (float(np.mean(np.diag(est_P0))) if est_P0.size else 0.1) * np.eye(dim)
+    p0[:k, :k] = est_P0[:k, :k]
     return x0, p0
 
 
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    trial = cfg.trial
-    trial_kwargs = {}
-    if args.steps is not None:
-        trial_kwargs["steps"] = args.steps
-        if trial.input_sequence is not None:
-            raise ValueError("--steps cannot override a config with a fixed input sequence")
-    if args.strategy is not None:
-        strategy = LossStrategy(args.strategy)
-        if strategy is not trial.strategy:
-            new_dim = trial.plant.n + (
-                trial.plant.r if strategy is LossStrategy.HOLD else 0
-            )
-            x0, p0 = _fit_est_init(trial.est_x0, trial.est_P0, new_dim)
-            trial_kwargs.update(strategy=strategy, est_x0=x0, est_P0=p0)
-    if trial_kwargs:
-        trial = replace(trial, **trial_kwargs)
-
-    kwargs = {"trial": trial, "n_jobs": args.jobs}
-    if args.trials is not None:
-        kwargs["n_trials"] = args.trials
-    if args.seed is not None:
-        kwargs["seed"] = args.seed
-    if args.estimators is not None:
-        kwargs["estimators"] = tuple(
-            name.strip() for name in args.estimators.split(",") if name.strip()
-        )
-    if args.out is not None:
-        kwargs["out"] = args.out
-    if args.hist_bin_width is not None:
-        kwargs["hist_bin_width"] = args.hist_bin_width
-    if args.emit_steps:
-        kwargs["emit_steps"] = True
-    cfg = replace(cfg, **kwargs)
-    if args.reproduce and cfg.seed is None:
-        raise ValueError("--reproduce requires an explicit --seed (or a seed in the config)")
-    return cfg
+def _with_flags(data, args):
+    """The config data with each given flag's value on its key, so that a
+    flag is checked as its key is. A strategy flag that changes the strategy
+    also resizes the estimator initials, which fit the config's own one."""
+    if not isinstance(data, dict):
+        return data  # config_from_dict rejects it
+    flags = {key: value for key, value in vars(args).items() if key in _ROWS and value is not None}
+    for key in flags.keys() & data.keys():  # a replaced value must still be well-formed
+        _read(data, *_ROWS[key][:3])
+    flagged = {**data, **flags}
+    strategy = data.get("strategy", _ROWS["strategy"][2])
+    if flags.get("strategy", strategy) != strategy:
+        trial = config_from_dict({**flagged, "strategy": strategy}).trial
+        dim = AugmentedModel(trial.plant, LossStrategy(flags["strategy"])).state_dim
+        x0, p0 = _fit_est_init(trial.est_x0, trial.est_P0, dim)
+        init = data.get("estimator_init") or {}
+        flagged["estimator_init"] = {**init, "x0": x0.tolist(), "P0": p0.tolist()}
+    return flagged
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.preset or args.config)
-        cfg = _apply_overrides(cfg, args)
+        data = _with_flags(_config_data(args.preset or args.config), args)
+        cfg = replace(config_from_dict(data), n_jobs=args.jobs)
+        if args.reproduce and cfg.seed is None:
+            raise ValueError("--reproduce requires an explicit --seed (or a seed in the config)")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,6 +21,7 @@ or how trials are scheduled. Monte Carlo trial t uses seed
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -426,12 +427,13 @@ def run_monte_carlo(
 ) -> Iterator[TrialRecord]:
     """Yield ``n_trials`` independent trial records in trial order.
 
-    Trial t runs with seed ``derive_trial_seed(base_seed, t)``. With one job
-    the trials run in batches whose estimators step in lockstep, as many
-    trials to a batch as fit ``MAX_CYCLE_ROWS`` Kalman rows; with more, each
-    trial runs alone in a worker process. Records are identical either way,
-    and equal to :func:`simulate_trial`'s, because each trial owns its
-    streams and every row of a batched step is computed as it is alone.
+    Trial t runs with seed ``derive_trial_seed(base_seed, t)``. The run
+    takes ``min(n_jobs, n_trials, os.cpu_count())`` worker processes, each
+    running one trial at a time; with one, the trials run in batches whose
+    estimators step in lockstep, as many trials to a batch as fit
+    ``MAX_CYCLE_ROWS`` Kalman rows. Records are identical either way, and
+    equal to :func:`simulate_trial`'s, because each trial owns its streams
+    and every row of a batched step is computed as it is alone.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -440,7 +442,8 @@ def run_monte_carlo(
         dataclasses.replace(cfg, seed=derive_trial_seed(base_seed, t))
         for t in range(n_trials)
     ]
-    if n_jobs <= 1:
+    workers = min(n_jobs, n_trials, os.cpu_count() or 1)
+    if workers <= 1:
         rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
         size = max(1, MAX_CYCLE_ROWS // max(rows, 1))
         for first in range(0, n_trials, size):
@@ -448,7 +451,7 @@ def run_monte_carlo(
         return
     from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~2 MB RSS
 
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_simulate_star, [(c, names) for c in configs])
 
 

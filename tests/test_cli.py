@@ -451,3 +451,97 @@ def test_bad_histogram_bin_width_exits_2_before_any_trial(tmp_path, capsys, widt
     err = capsys.readouterr().err
     assert f"hist_bin_width must be in (0, 100], got {float(width)}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, value, message",
+    [("input", {"std": [10.0, 10.0], "sequence": [[1.0, 1.0]] * 101},
+      "input: give exactly one of 'std' or 'sequence'"),
+     ("chain", {"matrix": BENCHMARK_TRANSITION.tolist(), "links": [[[0.8, 0.2], [0.4, 0.6]]] * 2},
+      "chain: give exactly one of 'matrix' or 'links'"),
+     ("chain", {}, "chain: give exactly one of 'matrix' or 'links'")],
+)
+def test_either_or_section_with_both_or_neither_exits_2(tmp_path, capsys, section, value, message):
+    """A section that takes one of two keys refuses both, instead of
+    silently dropping one of the given values."""
+    data = cstr5_config()
+    data[section] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        config_from_dict(data)
+    path = tmp_path / "both.json"
+    path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_duplicate_estimator_exits_2_naming_it(tmp_path, capsys, source):
+    """One estimator selected twice would write its columns twice and take
+    two fallback bits; it is refused before any trial runs."""
+    out = tmp_path / "out"
+    if source == "flag":
+        args = _small_args(out, ("--estimators", "alg1,imm,alg1"))
+    else:
+        data = cstr5_config()
+        data.update(estimators=["alg1", "imm", "alg1"], trials=1, steps=5, seed=1)
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps(data))
+        args = ["run", "--config", str(path), "--out", str(out)]
+    assert main(args) == 2
+    assert "estimator 'alg1' is selected more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_naming_a_file_fails_with_an_error_line(tmp_path, capsys):
+    """An output path that is an existing file ends in exit 1 and one error
+    line, not a traceback."""
+    path = tmp_path / "taken"
+    path.write_text("keep")
+    assert main(_small_args(path)) == 1
+    assert "error: " in capsys.readouterr().err
+    assert path.read_text() == "keep"
+
+
+def _hold_to_zero(data):
+    del data["strategy"]  # the default, hold
+    return {"strategy": "zero", "estimator_init": {**data["estimator_init"], "x0": [0.0, 0.0],
+                                                   "P0": [[0.1, 0.0], [0.0, 0.1]]}}
+
+
+def _zero_to_hold(data):
+    data["strategy"] = "zero"
+    data["estimator_init"] = {"x0": [0.5, 1.0], "P0": [[0.1, 0.0], [0.0, 0.2]]}
+    return {"strategy": "hold", "estimator_init": {
+        "x0": [0.5, 1.0, 0.0, 0.0],
+        "P0": [[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0],
+               [0.0, 0.0, 0.15000000000000002, 0.0], [0.0, 0.0, 0.0, 0.15000000000000002]]}}
+
+
+@pytest.mark.parametrize(
+    "flags, keys",
+    [(("--trials", "3"), {"trials": 3}), (("--steps", "12"), {"steps": 12}),
+     (("--seed", "7"), {"seed": 7}), (("--out", "elsewhere"), {"out": "elsewhere"}),
+     (("--hist-bin-width", "5"), {"hist_bin_width": 5}), (("--emit-steps",), {"emit_steps": True}),
+     (("--estimators", "imm, alg1"), {"estimators": ["imm", "alg1"]}),
+     (("--strategy", "hold"), {"strategy": "hold"}),
+     (("--strategy", "zero"), _hold_to_zero), (("--strategy", "hold"), _zero_to_hold)],
+    ids=["trials", "steps", "seed", "out", "hist-bin-width", "emit-steps", "estimators",
+         "strategy-same", "strategy-hold-to-zero", "strategy-zero-to-hold"],
+)
+def test_flag_gives_the_config_of_its_key(monkeypatch, tmp_path, flags, keys):
+    """A flag sets its config key: the config a run gets equals the one of
+    the file with that key written in. A strategy change resizes explicit
+    estimator initials: zeros pad x0, and their mean variance pads P0."""
+    import ncsmode.cli as cli
+
+    data = cstr5_config()
+    if callable(keys):
+        keys = keys(data)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(data))
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: ran.append(cfg) or 0)
+    assert main(["run", "--config", str(path), "--jobs", "2", *flags]) == 0
+    written = config_from_dict({**data, **keys})
+    assert config_to_dict(ran[0]) == config_to_dict(written)
+    assert ran[0].n_jobs == 2

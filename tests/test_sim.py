@@ -1,5 +1,7 @@
+import concurrent.futures
 import dataclasses
 import itertools
+import os
 from collections import Counter
 from pathlib import Path
 
@@ -163,12 +165,48 @@ def test_monte_carlo_single_trial_matches_simulate(preset_trial):
     _assert_records_identical(rec, direct)
 
 
-def test_monte_carlo_parallel_matches_serial(preset_trial):
+def test_monte_carlo_parallel_matches_serial(preset_trial, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two workers on any machine
     cfg = dataclasses.replace(preset_trial, steps=25)
     serial = list(run_monte_carlo(cfg, 6, 99, ("alg1", "imm"), n_jobs=1))
     parallel = list(run_monte_carlo(cfg, 6, 99, ("alg1", "imm"), n_jobs=2))
     assert len(serial) == len(parallel) == 6
     for a, b in zip(serial, parallel):
+        _assert_records_identical(a, b)
+
+
+@pytest.mark.parametrize(
+    "n_trials, cpus, workers", [(2, 8, 2), (5, 3, 3), (5, 1, None), (5, None, None)]
+)
+def test_monte_carlo_workers_capped_by_trials_and_cpus(
+    preset_trial, monkeypatch, n_trials, cpus, workers
+):
+    """A job count of 500 never asks for 500 workers: the pool takes at most
+    one per trial and one per CPU, and a cap of one takes the lockstep path.
+    Records are the serial ones either way."""
+    pools = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = dataclasses.replace(preset_trial, steps=10)
+    records = list(run_monte_carlo(cfg, n_trials, 5, ("alg1",), n_jobs=500))
+    assert pools == ([] if workers is None else [workers])
+    serial = list(run_monte_carlo(cfg, n_trials, 5, ("alg1",)))
+    assert len(records) == len(serial) == n_trials
+    for a, b in zip(records, serial):
         _assert_records_identical(a, b)
 
 
