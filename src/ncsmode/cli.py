@@ -24,7 +24,7 @@ import numpy as np
 from .markov import LinkChain, TransitionMatrix, kron_compose
 from .metrics import MetricsSummary, _check_bin_width, aggregate
 from .model import ArmaModel, AugmentedModel, LossStrategy, ModeSpace, PlantModel
-from .sim import ESTIMATOR_KEYS, TrialConfig, TrialRecord, run_monte_carlo
+from .sim import ESTIMATOR_KEYS, TrialConfig, TrialRecord, _estimator_names, run_monte_carlo
 
 __all__ = [
     "STEP_CSV_SCHEMA",
@@ -97,13 +97,7 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.n_jobs < 1:
             raise ValueError("jobs must be at least 1")
-        for name in self.estimators:
-            if name not in ESTIMATOR_KEYS:
-                raise ValueError(
-                    f"unknown estimator {name!r}; choose from {ESTIMATOR_KEYS}"
-                )
-            if self.estimators.count(name) > 1:
-                raise ValueError(f"estimator {name!r} is selected more than once")
+        _estimator_names(self.estimators)
         if not self.estimators:
             raise ValueError("select at least one estimator")
         _check_bin_width(self.hist_bin_width, "hist_bin_width")

@@ -26,8 +26,13 @@ broadcast over such leading axes. Estimators stepped together form a bank,
 and the banks of a batch of trials step in lockstep: one Kalman cycle per
 step runs on the stacked rows of all of them, the decided mode of ``alg1``
 and of ``alg2`` and the s filters of ``imm`` of every trial, each row with
-its trial's input and measurement (``_bank_step``). An estimator's own
-``step`` runs the same recursion alone (``_lone_step``).
+its trial's input and measurement (``_bank_step``). The IMMs of a batch of
+T trials step as one recursion over (T, s) stacks (``_imm_step``), for
+which ``predict_prior``, ``mode_posterior_update_log`` and ``mode_argmax``
+take a leading trial axis; ``alg1`` and ``alg2`` step per trial. Every
+stacked product and reduction gives each trial's row what that trial gives
+alone, bit for bit. An estimator's own ``step`` runs the same recursion
+for one trial with its own Kalman cycle (``_lone_step``).
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -267,36 +272,47 @@ def gaussian_logpdf(y, yhat, sigma) -> float:
     return float(_chol_logpdf(y - yhat, chol, _log_det_half(chol)))
 
 
-def mode_posterior_update_log(prior, loglik) -> tuple[np.ndarray, bool]:
+def mode_posterior_update_log(prior, loglik) -> tuple[np.ndarray, bool | np.ndarray]:
     """Recursive posterior update from log-likelihoods.
 
     ``prior`` is the chain-predicted mode prior (:func:`predict_prior` of
     the previous posterior). Each candidate's likelihood is weighted by it
     and renormalized (max-subtraction in log domain). Returns the updated
     probability vector and a fallback flag: when every weighted candidate
-    is exactly zero, a copy of the prior is returned and the step is
-    flagged.
+    is exactly zero, the prior's values are returned and the step is
+    flagged. A stack of priors and log-likelihoods (T, s) is updated row by
+    row, with one flag per row (a bool array).
     """
     prior = np.asarray(prior, dtype=float)
-    loglik = np.asarray(loglik, dtype=float).reshape(-1)
+    loglik = np.asarray(loglik, dtype=float).reshape(prior.shape[:-1] + (-1,))
     if np.count_nonzero(np.isnan(loglik)):
         raise NumericalError("NaN log-likelihood")
     if loglik.shape != prior.shape:
         raise ValueError(
-            f"{loglik.shape[0]} likelihoods for {prior.shape[0]} modes"
+            f"{loglik.shape[-1]} likelihoods for {prior.shape[-1]} modes"
         )
     with np.errstate(divide="ignore"):
         logw = loglik + np.log(prior)
-    top = np.maximum.reduce(logw)
-    if not math.isfinite(top):
-        return prior.copy(), True
+    top = np.maximum.reduce(logw, axis=-1, keepdims=True)
+    finite = np.isfinite(top)
+    if np.count_nonzero(finite) != finite.size:
+        fallback = ~finite[..., 0]
+        top[fallback] = 0.0  # those rows' weights are replaced by the prior
+        weights = np.exp(logw - top)
+        total = np.add.reduce(weights, axis=-1, keepdims=True)
+        total[fallback] = 1.0
+        probs = np.where(finite, weights / total, prior)
+        return probs, (bool(fallback) if fallback.ndim == 0 else fallback)
     weights = np.exp(logw - top)
-    return weights / np.add.reduce(weights), False
+    probs = weights / np.add.reduce(weights, axis=-1, keepdims=True)
+    return probs, (False if prior.ndim == 1 else np.zeros(prior.shape[0], dtype=bool))
 
 
-def mode_argmax(posterior) -> int:
-    """Smallest 1-based mode index attaining the maximum probability."""
-    return int(np.asarray(posterior, dtype=float).argmax()) + 1
+def mode_argmax(posterior) -> int | np.ndarray:
+    """Smallest 1-based mode index attaining the maximum probability; an
+    int array of one per row for a stack of posteriors (T, s)."""
+    modes = np.asarray(posterior, dtype=float).argmax(axis=-1) + 1
+    return int(modes) if modes.ndim == 0 else modes
 
 
 def alg1_const_sigma(arma: ArmaModel) -> np.ndarray:
@@ -360,15 +376,19 @@ def alg2_predict(
     return yhat, 0.5 * (sigma + _t(sigma))
 
 
-def _moment_match(weights: np.ndarray, bank: GaussianBelief) -> GaussianBelief:
-    """Moment-matched Gaussian of the mixture sum_i w_i N(mean_i, cov_i) over
-    a stacked bank of s beliefs; each row of weights (..., s) gives one."""
-    s, d = bank.mean.shape
-    mean = weights @ bank.mean
-    diff = bank.mean - mean[..., None, :]
-    cov = (weights @ bank.cov.reshape(s, d * d)).reshape(mean.shape + (d,))
-    cov += (_t(diff) * weights[..., None, :]) @ diff
-    return GaussianBelief._of(mean, 0.5 * (cov + _t(cov)))
+def _moment_match(weights: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> GaussianBelief:
+    """Moment-matched Gaussians of the mixtures sum_i w_i N(mean_i, cov_i)
+    over a bank of s beliefs, means (..., s, d) and covariances
+    (..., s, d, d); each of the k rows of weights (..., k, s) gives one, so
+    the result is (..., k, d) means with (..., k, d, d) covariances. Leading
+    axes stack banks. Every product is a stack of per-bank matrix products,
+    so a bank's result does not depend on the other banks of the stack."""
+    d = mean.shape[-1]
+    mixed = weights @ mean
+    diff = mean[..., None, :, :] - mixed[..., None, :]
+    out = (weights @ cov.reshape(cov.shape[:-2] + (d * d,))).reshape(mixed.shape + (d,))
+    out += (_t(diff) * weights[..., None, :]) @ diff
+    return GaussianBelief._of(mixed, 0.5 * (out + _t(out)))
 
 
 def _transition_array(transition, s: int) -> np.ndarray:
@@ -410,67 +430,79 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
 
     A bank's estimators are started and stepped on the same signals; the
     banks of a batch (one per trial) step on their own signals ``us[b]``,
-    ``ys[b]`` and all share one augmented model ``aug`` and held-input floor.
-    Each bank's (u, y) is converted and checked once, under its first
-    estimator's key. Then every estimator decides, one Kalman cycle runs on
-    the stacked mode-table rows they ask for (the decided mode of ``alg1``
-    and ``alg2``, the s mixed filters of ``imm``) with each row's own
-    previous input and measurement, and every estimator commits. An
-    estimator's step is a generator:
+    ``ys[b]`` and all share one augmented model ``aug``, mode chain and
+    held-input floor. Each bank's (u, y) is converted and checked once,
+    under its first estimator's key. Then every estimator decides, one
+    Kalman cycle runs on the stacked mode-table rows they ask for (the
+    decided mode of ``alg1`` and ``alg2``, the s mixed filters of ``imm``)
+    with each row's own previous input and measurement, and every estimator
+    commits. ``alg1`` and ``alg2`` step bank by bank, and the IMMs of all
+    the banks step together (``_imm_step``). Each such step is a generator:
 
     1. up to its first yield it decides, committing nothing, and yields
-       ``(rows, belief, u_prev)``: one row (an integer) with a (d,) belief,
-       a slice of rows with an (n, d) belief, or no rows (None, for a
+       ``(rows, belief, u_prev, y)``: one row (an integer) with a (d,)
+       belief and the bank's (u_prev, y); every row (``slice(None)``) with
+       the (..., s, d) beliefs of stacked banks of filters, one per row,
+       and (u_prev, y) that broadcast over them; or no rows (None, for a
        mode-only ``alg1``);
     2. it is sent its rows' predicted belief (None without rows);
     3. it is sent its rows' updated and floored belief, finishes everything
-       that can raise and yields its StepResult;
+       that can raise and yields its StepResult (the IMMs' list of them, in
+       bank order);
     4. resumed once more, it commits.
 
-    No estimator commits before every one of the batch has reached step 3,
+    No estimator commits before every one of the batch has reached phase 3,
     so a step that raises leaves every bank as it was. An estimator's own
-    ``step`` runs the same generator through ``_lone_step`` instead.
+    ``step`` runs the same generator, for a batch of one, through
+    ``_lone_step``.
     """
-    steps, parts, rows, means, covs = [], [], [], [], []
-    counts, u_prevs, y_rows = [], [], []
+    steps, imms = [], []
     for bank, u, y in zip(banks, us, ys):
         u, y = _step_signals(bank[0].key, u, y)
-        first = len(rows)
         for est in bank:
-            step = est._step(u, y, None)
-            req_rows, belief, u_prev = next(step)
-            steps.append(step)
-            if req_rows is None:
-                parts.append(None)
-                continue
-            if isinstance(req_rows, slice):
-                parts.append(slice(len(rows), len(rows) + req_rows.stop - req_rows.start))
-                rows.extend(range(req_rows.start, req_rows.stop))
-                means.append(belief.mean)
-                covs.append(belief.cov)
+            if est.key == "imm":
+                imms.append((est, u, y))
             else:
-                parts.append(len(rows))
-                rows.append(req_rows)
-                means.append(belief.mean[None])
-                covs.append(belief.cov[None])
-        counts.append(len(rows) - first)
-        u_prevs.append(u_prev)  # the bank's shared previous input
-        y_rows.append(y)
+                steps.append(est._step(u, y, None))
+    if imms:
+        steps.append(_imm_step(aug, *zip(*imms)))
+    parts, blocks, n_rows = [], [], 0
+    for step in steps:
+        rows, belief, u_prev, y = next(step)
+        if rows is None:
+            parts.append(None)
+            continue
+        if isinstance(rows, slice):  # the IMMs' filters, every table row per trial
+            lead, d = belief.mean.shape[:-1], belief.mean.shape[-1]
+            size = math.prod(lead)
+            parts.append(slice(n_rows, n_rows + size))
+            n_rows += size
+            rows = np.broadcast_to(np.arange(aug.space.s), lead).reshape(-1)
+            blocks.append((rows, belief.mean.reshape(-1, d),
+                           belief.cov.reshape(-1, d, d),
+                           np.broadcast_to(u_prev, lead + u_prev.shape[-1:]).reshape(size, -1),
+                           np.broadcast_to(y, lead + y.shape[-1:]).reshape(size, -1)))
+        else:
+            parts.append(n_rows)
+            n_rows += 1
+            blocks.append(([rows], belief.mean[None], belief.cov[None], u_prev[None], y[None]))
     pred = upd = None
-    if rows:
-        stacked = GaussianBelief._of(np.concatenate(means), np.concatenate(covs))
+    if blocks:
+        rows, mean, cov, u_prev, y = (np.concatenate(arrays) for arrays in zip(*blocks))
         a_tab, b_tab = aug.mode_tables
-        pred = kf_predict(a_tab.take(rows, 0), b_tab.take(rows, 0), aug.Q, stacked,
-                          np.repeat(u_prevs, counts, axis=0))
+        pred = kf_predict(a_tab.take(rows, 0), b_tab.take(rows, 0), aug.Q,
+                          GaussianBelief._of(mean, cov), u_prev)
     for step, part in zip(steps, parts):
         step.send(_part(pred, part))
-    if rows:
-        upd = kf_update(aug.C, aug.R, pred, np.repeat(y_rows, counts, axis=0))
-        upd = floor_held_cov(upd, aug.plant.n, floor)
-    results = iter([step.send(_part(upd, part)) for step, part in zip(steps, parts)])
+    if pred is not None:
+        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
+    results = [step.send(_part(upd, part)) for step, part in zip(steps, parts)]
     for step in steps:
         next(step, None)
-    return [[next(results) for _ in bank] for bank in banks]
+    imm_results = iter(results.pop() if imms else ())
+    results = iter(results)
+    return [[next(imm_results if est.key == "imm" else results) for est in bank]
+            for bank in banks]
 
 
 def _part(belief: GaussianBelief | None, part) -> GaussianBelief | None:
@@ -478,23 +510,69 @@ def _part(belief: GaussianBelief | None, part) -> GaussianBelief | None:
     return None if part is None else GaussianBelief._of(belief.mean[part], belief.cov[part])
 
 
-def _lone_step(est, aug, u, y, force_mode=None) -> StepResult:
-    """An estimator's own step: its Kalman cycle runs on its own arrays,
-    with its rows of the mode tables picked as views; nothing is stacked.
-    ``force_mode`` replaces the argmax decision of ``alg1`` and ``alg2``."""
-    u, y = _step_signals(est.key, u, y, force_mode, est.space.s)
-    step = est._step(u, y, force_mode)
-    rows, belief, u_prev = next(step)
+def _lone_step(step, aug, floor) -> StepResult:
+    """Run one step generator of ``_bank_step``'s protocol with its own
+    Kalman cycle: its rows of the mode tables are picked from the tables
+    and nothing is stacked with other estimators."""
+    rows, belief, u_prev, y = next(step)
     pred = upd = None
     if rows is not None:
         a_tab, b_tab = aug.mode_tables
         pred = kf_predict(a_tab[rows], b_tab[rows], aug.Q, belief, u_prev)
     step.send(pred)
-    if rows is not None:
-        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, est._held_cov_floor)
+    if pred is not None:
+        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
     result = step.send(upd)
     next(step, None)
     return result
+
+
+def _imm_step(aug, imms, us, ys):
+    """One step of T trials' IMMs (``ImmEstimator``) on their signals
+    ``us[t]``, ``ys[t]``: one prior, mixing, scoring, posterior update and
+    combination over their stacked (T, s) arrays (a single trial's are used
+    unstacked). As a step generator of ``_bank_step`` it yields every table
+    row, the mixed filters and each trial's (u_prev, y) with a unit axis
+    that broadcasts over them, then the T StepResults as a list. The IMMs
+    share ``aug`` and their mode chain. Every product stacks per-trial
+    matrix products and every reduction runs along a row, so each trial
+    gets, bit for bit, the numbers it gets alone."""
+    first, trans = imms[0], imms[0]._P
+    # T > 1 trials' arrays stack on a leading axis, and their rows are the
+    # trials' own; a single trial's arrays are used as they are
+    stack, rows = (np.array, list) if len(imms) > 1 else (lambda a: a[0], lambda a: [a])
+    mu = stack([imm._mu for imm in imms])
+    # mixing weights W[t, j, i] = P[i, j] mu_ti / prior_tj of filter i into
+    # filter j; an unreachable target (prior_tj = 0) keeps its own state
+    prior = predict_prior(mu, trans)
+    reach = prior > 0.0
+    weights = trans.T * mu[..., None, :] / np.where(reach, prior, 1.0)[..., None]
+    weights = np.where(reach[..., None], weights, first._eye)
+    mixed = _moment_match(weights, stack([imm._means for imm in imms]),
+                          stack([imm._covs for imm in imms]))
+    y = stack(ys)[..., None, :]
+
+    pred = yield slice(None), mixed, stack([imm._last_u for imm in imms])[..., None, :], y
+    shape = mixed.mean.shape
+    c_mat = aug.C
+    innov_cov = c_mat @ pred.cov.reshape(shape + shape[-1:]) @ c_mat.T + aug.R
+    chol = _cholesky(0.5 * (innov_cov + _t(innov_cov)))
+    loglik = _chol_logpdf(y - _mv(c_mat, pred.mean.reshape(shape)), chol, _log_det_half(chol))
+
+    upd = yield
+    mu, fallback = mode_posterior_update_log(prior, loglik)
+    mean, cov = upd.mean.reshape(shape), upd.cov.reshape(shape + shape[-1:])
+    combined = _moment_match(mu[..., None, :], mean, cov)
+    states, state_covs = rows(combined.mean[..., 0, :]), rows(combined.cov[..., 0, :, :])
+    yield [StepResult(int(mode), state, probs.copy(), ll, bool(flag))
+           for mode, state, probs, ll, flag
+           in zip(rows(mode_argmax(mu)), states, rows(mu), rows(loglik), rows(fallback))]
+
+    for imm, means, covs, probs, u, state, state_cov in zip(
+        imms, rows(mean), rows(cov), rows(mu), us, states, state_covs
+    ):
+        imm._means, imm._covs, imm._mu, imm._last_u = means, covs, probs, u
+        imm._combined = state, state_cov
 
 
 class Alg1Estimator:
@@ -579,7 +657,8 @@ class Alg1Estimator:
         later), ``y`` the current measurement. ``force_mode`` substitutes an
         externally known mode for the argmax decision (diagnostics).
         """
-        return _lone_step(self, self._kf, u, y, force_mode)
+        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
+        return _lone_step(self._step(u, y, force_mode), self._kf, self._held_cov_floor)
 
     def _step(self, u, y, force_mode):
         """This estimator's part of a bank step (see ``_bank_step``)."""
@@ -618,7 +697,7 @@ class Alg1Estimator:
                 alpha = self.space.flags[memory_mode - 1]
                 uhat = alpha * self._u_hist[0] + (1.0 - alpha) * self._uhat_hist[0]
 
-        yield (None if self._kf is None else mode - 1), self._belief, self._u_hist[0]
+        yield (None if self._kf is None else mode - 1), self._belief, self._u_hist[0], y
         belief = yield
         yield StepResult(
             mode, None if belief is None else belief.mean, probs.copy(), loglik, fallback
@@ -677,7 +756,8 @@ class Alg2Estimator:
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        return _lone_step(self, self.aug, u, y, force_mode)
+        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
+        return _lone_step(self._step(u, y, force_mode), self.aug, self._held_cov_floor)
 
     def _step(self, u, y, force_mode):
         """This estimator's part of a bank step (see ``_bank_step``)."""
@@ -689,7 +769,7 @@ class Alg2Estimator:
         probs, fallback = mode_posterior_update_log(prior, loglik)
         mode = mode_argmax(probs) if force_mode is None else force_mode
 
-        yield mode - 1, self._belief, self._last_u
+        yield mode - 1, self._belief, self._last_u, y
         belief = yield
         yield StepResult(mode, belief.mean, probs.copy(), loglik, fallback)
 
@@ -704,6 +784,8 @@ class ImmEstimator:
     newest measurement, reweights the model probabilities by the innovation
     likelihoods, and moment-matches a combined Gaussian. The model
     probabilities stand in for the mode posterior; the state is its mean.
+    The IMMs of a batch of trials step together (``_imm_step``); ``step``
+    runs a batch of one.
     """
 
     key = "imm"
@@ -723,9 +805,10 @@ class ImmEstimator:
         self._mu = _initial_probs(prior, self.space.s)
         self._held_cov_floor = held_cov_floor
         init, s = _initial_belief(aug.state_dim, x0, P0), self.space.s
-        self._bank = GaussianBelief(np.tile(init.mean, (s, 1)), np.tile(init.cov, (s, 1, 1)))
+        # the bank's beliefs, row j-1 for mode j
+        self._means, self._covs = np.tile(init.mean, (s, 1)), np.tile(init.cov, (s, 1, 1))
         self._eye = np.eye(s)
-        self._combined: GaussianBelief | None = None
+        self._combined: tuple | None = None  # its mean and covariance
         self._last_u: np.ndarray | None = None
 
     @property
@@ -734,12 +817,12 @@ class ImmEstimator:
 
     @property
     def beliefs(self) -> list[GaussianBelief]:
-        return [GaussianBelief(m, c) for m, c in zip(self._bank.mean, self._bank.cov)]
+        return [GaussianBelief(m, c) for m, c in zip(self._means, self._covs)]
 
     @property
     def combined_belief(self) -> GaussianBelief | None:
         """Moment-matched combination of the filter bank (after a step)."""
-        return self._combined
+        return None if self._combined is None else GaussianBelief._of(*self._combined)
 
     def start(self, u0, y0) -> None:
         self._last_u = np.asarray(u0, dtype=float).reshape(-1)
@@ -747,28 +830,6 @@ class ImmEstimator:
     def step(self, u, y) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        return _lone_step(self, self.aug, u, y)
-
-    def _step(self, u, y, force_mode):
-        """This estimator's part of a bank step (see ``_bank_step``); IMM
-        takes no forced mode, so ``force_mode`` is ignored."""
-        # mixing weights W[j, i] = P[i, j] mu_i / prior_j of filter i into
-        # filter j; an unreachable target (prior_j = 0) keeps its own state
-        prior = predict_prior(self._mu, self._P)
-        reach = prior > 0.0
-        weights = self._P.T * self._mu / np.where(reach, prior, 1.0)[:, None]
-        weights = np.where(reach[:, None], weights, self._eye)
-        mixed = _moment_match(weights, self._bank)
-
-        pred = yield slice(0, self.space.s), mixed, self._last_u
-        c_mat = self.aug.C
-        innov_cov = c_mat @ pred.cov @ c_mat.T + self.aug.R
-        chol = _cholesky(0.5 * (innov_cov + _t(innov_cov)))
-        loglik = _chol_logpdf(y - _mv(c_mat, pred.mean), chol, _log_det_half(chol))
-
-        bank = yield
-        mu, fallback = mode_posterior_update_log(prior, loglik)
-        combined = _moment_match(mu, bank)
-        yield StepResult(mode_argmax(mu), combined.mean, mu.copy(), loglik, fallback)
-
-        self._bank, self._mu, self._combined, self._last_u = bank, mu, combined, u
+        u, y = _step_signals(self.key, u, y)
+        return _lone_step(_imm_step(self.aug, [self], [u], [y]), self.aug,
+                          self._held_cov_floor)[0]

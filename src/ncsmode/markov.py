@@ -105,14 +105,22 @@ def kron_compose(links) -> TransitionMatrix:
 
 
 def predict_prior(posterior, transition) -> np.ndarray:
-    """One-step-ahead mode distribution: E_h = sum_l P[l, h] posterior_l."""
-    probs = np.asarray(posterior, dtype=float).reshape(-1)
+    """One-step-ahead mode distribution: E_h = sum_l P[l, h] posterior_l.
+
+    ``posterior`` is one distribution (s,) or a stack of them (T, s), which
+    gives one prior per row.
+    """
+    probs = np.asarray(posterior, dtype=float)
+    if probs.ndim != 2:
+        probs = probs.reshape(-1)
     mat = transition.P if isinstance(transition, TransitionMatrix) else np.asarray(transition)
-    if probs.shape[0] != mat.shape[0]:
+    if probs.shape[-1] != mat.shape[0]:
         raise ValueError(
-            f"posterior length {probs.shape[0]} does not match {mat.shape[0]} modes"
+            f"posterior length {probs.shape[-1]} does not match {mat.shape[0]} modes"
         )
-    return mat.T @ probs
+    # a unit row axis makes every row one vector-matrix product, the same
+    # for a row of a stack as for that row alone (a 2-D product would not be)
+    return (probs[..., None, :] @ mat)[..., 0, :]
 
 
 def sample_next(transition, current: int, rng: np.random.Generator) -> int:

@@ -7,8 +7,10 @@ on exactly the signals a controller would see: the issued inputs and the
 measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
 A Monte Carlo run steps the banks of a batch of trials in lockstep, with
-one stacked Kalman cycle per step for all of them; each record equals the
-one its trial gives alone.
+one stacked Kalman cycle per step for all of them and one IMM recursion
+for all their IMMs (``alg1`` and ``alg2`` decide trial by trial); each
+record equals the one its trial gives alone. Every entry point refuses an
+unknown or repeated estimator name.
 
 Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
@@ -38,6 +40,7 @@ from .filters import (
 from .markov import TransitionMatrix, _check_distribution, sample_next, stationary_distribution
 from .model import (
     ArmaModel,
+    AugmentedModel,
     LossStrategy,
     PlantModel,
     _all_finite,
@@ -107,7 +110,7 @@ class TrialConfig:
             raise ValueError(
                 f"chain has {self.chain.s} modes but the plant's {plant.r} links need {1 << plant.r}"
             )
-        aug_dim = plant.n + (plant.r if self.strategy is LossStrategy.HOLD else 0)
+        aug_dim = AugmentedModel(plant, self.strategy).state_dim
 
         x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if x0.shape[0] != plant.n:
@@ -215,9 +218,21 @@ def _psd_factor(mat: np.ndarray) -> np.ndarray | None:
     return vecs * np.sqrt(vals)
 
 
+def _estimator_names(names) -> tuple[str, ...]:
+    """The selected estimator names as a tuple; a name that is unknown or
+    selected more than once raises ValueError."""
+    names = tuple(names)
+    for name in names:
+        if name not in ESTIMATOR_KEYS:
+            raise ValueError(f"unknown estimator {name!r}; choose from {ESTIMATOR_KEYS}")
+        if names.count(name) > 1:
+            raise ValueError(f"estimator {name!r} is selected more than once")
+    return names
+
+
 def _build_estimators(cfg: TrialConfig, names, aug, floor: float, arma) -> dict:
-    """One trial's estimators by name; ``alg1`` runs on the input-output
-    form ``arma``."""
+    """One trial's estimators by (checked) name; ``alg1`` runs on the
+    input-output form ``arma``."""
     est: dict = {}
     for name in names:
         if name == "alg1":
@@ -226,14 +241,12 @@ def _build_estimators(cfg: TrialConfig, names, aug, floor: float, arma) -> dict:
                 kf_model=aug, kf_x0=cfg.est_x0, kf_P0=cfg.est_P0,
                 held_cov_floor=floor,
             )
-        elif name in ("alg2", "imm"):
+        else:
             cls = Alg2Estimator if name == "alg2" else ImmEstimator
             est[name] = cls(
                 aug, cfg.chain, prior=cfg.est_prior, x0=cfg.est_x0, P0=cfg.est_P0,
                 held_cov_floor=floor,
             )
-        else:
-            raise ValueError(f"unknown estimator {name!r}; choose from {ESTIMATOR_KEYS}")
     return est
 
 
@@ -410,7 +423,7 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
     estimator numerical failure marks the record failed with the step index
     instead of raising; the truth arrays stay complete.
     """
-    return _simulate_trials([cfg], tuple(estimator_names))[0]
+    return _simulate_trials([cfg], _estimator_names(estimator_names))[0]
 
 
 def _simulate_star(args) -> TrialRecord:
@@ -437,7 +450,7 @@ def run_monte_carlo(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    names = tuple(estimator_names)
+    names = _estimator_names(estimator_names)
     configs = [
         dataclasses.replace(cfg, seed=derive_trial_seed(base_seed, t))
         for t in range(n_trials)
@@ -466,7 +479,7 @@ def replay_estimators(cfg: TrialConfig, estimator_names, u: np.ndarray, y: np.nd
     y = np.asarray(y, dtype=float)
     if u.shape[0] != y.shape[0]:
         raise ValueError("u and y must cover the same steps")
-    names = tuple(estimator_names)
+    names = _estimator_names(estimator_names)
     aug = build_augmented(cfg.plant, cfg.strategy)
     [(modes, states, fallbacks, failure)] = _run_estimators(cfg, names, aug, [(u, y)])
     if failure is not None:

@@ -239,6 +239,42 @@ def test_posterior_update_all_zero_fallback(cstr_chain):
     assert np.allclose(out, predict_prior(post, cstr_chain), atol=1e-15)
 
 
+@pytest.mark.parametrize("s", [2, 4, 16])
+def test_posterior_recursion_on_a_stack_equals_row_by_row(s):
+    """predict_prior, mode_posterior_update_log and mode_argmax on a (T, s)
+    stack give, row for row and bit for bit, what each row gives alone: with
+    a mode of prior zero in every row, a point-mass row, a row whose
+    weighted likelihoods are all zero and one where only the zero-prior
+    mode has any (both fall back to the prior, flagged in those rows only)."""
+    rng = np.random.default_rng(s)
+    P = rng.random((s, s))
+    P[:, 0] = 0.0  # mode 1 is never entered
+    chain = TransitionMatrix(P / P.sum(axis=1, keepdims=True))
+    post = rng.random((6, s))
+    post /= post.sum(axis=1, keepdims=True)
+    post[1] = np.eye(s)[s - 1]
+    loglik = rng.normal(scale=30.0, size=(6, s)) - 700.0
+    loglik[2] = -np.inf
+    loglik[3, 1:] = -np.inf
+
+    prior = predict_prior(post, chain)
+    probs, fallback = mode_posterior_update_log(prior, loglik)
+    modes = mode_argmax(probs)
+    assert prior.shape == probs.shape == (6, s) and np.all(prior[:, 0] == 0.0)
+    assert fallback.dtype == bool and fallback.tolist() == [False, False, True, True, False, False]
+    assert modes.shape == (6,)
+    for t in range(6):
+        assert np.array_equal(prior[t], predict_prior(post[t], chain))
+        row_probs, row_fallback = mode_posterior_update_log(prior[t], loglik[t])
+        assert np.array_equal(probs[t], row_probs)
+        assert row_fallback is bool(fallback[t])
+        assert modes[t] == mode_argmax(probs[t])
+    assert np.array_equal(probs[2:4], prior[2:4])
+    ties = np.zeros((2, s))
+    ties[0, :2] = ties[1, -2:] = 0.5
+    assert mode_argmax(ties).tolist() == [1, s - 1]
+
+
 def test_posterior_update_log_domain_survives_extreme_values(cstr_chain):
     loglik = np.array([-50000.0, -50001.0, -50010.0, -50100.0])
     probs, fallback = mode_posterior_update_log(predict_prior(np.full(4, 0.25), cstr_chain), loglik)

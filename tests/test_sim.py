@@ -18,6 +18,7 @@ from ncsmode.filters import (
 )
 from ncsmode.markov import LinkChain, TransitionMatrix, kron_compose
 from ncsmode.model import LossStrategy, ModeSpace, PlantModel
+import ncsmode.filters as filters
 import ncsmode.sim as sim
 from ncsmode.sim import (
     ESTIMATOR_KEYS,
@@ -55,6 +56,25 @@ def test_same_seed_reproduces_record_exactly(preset_trial):
     rec1 = simulate_trial(cfg)
     rec2 = simulate_trial(cfg)
     _assert_records_identical(rec1, rec2)
+
+
+@pytest.mark.parametrize("names, message", [
+    (("alg1", "imm", "alg1"), "estimator 'alg1' is selected more than once"),
+    (("alg2", "kf"), "unknown estimator 'kf'"),
+])
+@pytest.mark.parametrize("entry", ["simulate_trial", "run_monte_carlo", "replay_estimators"])
+def test_estimator_selection_is_checked(preset_trial, entry, names, message):
+    """Every library entry point refuses a name selected twice (its record
+    would repeat a column over one set of estimates) and an unknown name."""
+    cfg = dataclasses.replace(preset_trial, steps=5)
+    rec = simulate_trial(cfg, ())
+    run = {
+        "simulate_trial": lambda: simulate_trial(cfg, names),
+        "run_monte_carlo": lambda: list(run_monte_carlo(cfg, 2, 1, names)),
+        "replay_estimators": lambda: replay_estimators(cfg, names, rec.u, rec.y),
+    }[entry]
+    with pytest.raises(ValueError, match=message):
+        run()
 
 
 def test_record_shapes_and_ranges(preset_trial):
@@ -409,11 +429,21 @@ def test_bank_step_failure_equals_one_estimator_at_a_time(
     _assert_same_estimates(rec, names, modes, states, fallbacks)
 
 
-def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial):
-    """An estimator that fails after the stacked cycle leaves every other
-    estimator of the batch as it was, those of the other trial's bank and
-    those ahead of it in its own bank: none commits before all succeed."""
-    cfg = dataclasses.replace(preset_trial, steps=5)
+def _late_failure(make_step):
+    """A step generator of ``_bank_step``'s protocol that runs through the
+    stacked cycle and then raises, before its results."""
+    def step(*args):
+        inner = make_step(*args)
+        inner.send((yield next(inner)))
+        yield
+        raise NumericalError("late failure")
+    return step
+
+
+def _assert_late_failure_commits_nothing(cfg, make_failing):
+    """Step two trials' banks once, make one step fail late (make_failing
+    gets the banks), step again: the failure propagates and no estimator of
+    either bank has moved past the first step."""
     recs = [simulate_trial(dataclasses.replace(cfg, seed=seed), ()) for seed in (2, 3)]
     aug = sim.build_augmented(cfg.plant, cfg.strategy)
     arma = sim.ss_to_arma(cfg.plant)
@@ -423,25 +453,41 @@ def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial):
         for est in bank:
             est.start(rec.u[0], rec.y[0])
     _bank_step(banks, aug, 0.1, [rec.u[1] for rec in recs], [rec.y[1] for rec in recs])
-    imm_step = banks[1][2]._step
-
-    def failing_step(u, y, force_mode):
-        step = imm_step(u, y, force_mode)
-        step.send((yield next(step)))
-        yield
-        raise NumericalError("late failure")
-
-    banks[1][2]._step = failing_step
-    kept = banks[0] + banks[1][:2]
-    before = [_final_beliefs(est) for est in kept]
+    make_failing(banks)
+    before = [[np.array(a) for a in _final_beliefs(est)] for bank in banks for est in bank]
     with pytest.raises(NumericalError, match="late failure"):
         _bank_step(banks, aug, 0.1, [rec.u[2] for rec in recs], [rec.y[2] for rec in recs])
-    for est, saved in zip(kept, before):
-        for got, want in zip(_final_beliefs(est), saved, strict=True):
+    after = [_final_beliefs(est) for bank in banks for est in bank]
+    for got_all, want_all in zip(after, before, strict=True):
+        for got, want in zip(got_all, want_all, strict=True):
             assert np.array_equal(got, want)
     for bank, rec in zip(banks, recs):
         assert np.array_equal(bank[0]._y_hist[0], rec.y[1])
         assert np.array_equal(bank[1]._last_u, rec.u[1])
+        assert np.array_equal(bank[2]._last_u, rec.u[1])
+
+
+def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial, monkeypatch):
+    """The batch's IMM step (all trials' IMMs at once, after every alg1 and
+    alg2) failing after the stacked cycle leaves every estimator of every
+    trial as it was: none commits before all succeed."""
+    cfg = dataclasses.replace(preset_trial, steps=5)
+
+    def fail_imms(banks):
+        monkeypatch.setattr(filters, "_imm_step", _late_failure(filters._imm_step))
+
+    _assert_late_failure_commits_nothing(cfg, fail_imms)
+
+
+def test_bank_step_commits_nothing_when_one_trials_estimator_fails(preset_trial):
+    """One trial's alg2 failing after the stacked cycle leaves every
+    estimator as it was, the other trial's and the batch's IMMs included."""
+    cfg = dataclasses.replace(preset_trial, steps=5)
+
+    def fail_alg2(banks):
+        banks[1][1]._step = _late_failure(banks[1][1]._step)
+
+    _assert_late_failure_commits_nothing(cfg, fail_alg2)
 
 
 # ---------------------------------------------------------------------------
@@ -528,27 +574,43 @@ def _assert_monte_carlo_equals_alone(cfg, n_trials, base_seed, names, records):
         _assert_records_identical(rec, simulate_trial(trial, names))
 
 
+def _unreachable_mode_chain(chain):
+    """The chain with every move into mode 1 redirected to mode s: mode 1
+    gets prior zero from the first step on, so IMM keeps its filter
+    unmixed (an unreachable mixing target)."""
+    P = chain.P.copy()
+    P[:, -1] += P[:, 0]
+    P[:, 0] = 0.0
+    return TransitionMatrix(P)
+
+
 @pytest.mark.parametrize("batch, n_trials, steps", [(1, 9, 12), (7, 16, 12), (100, 100, 3)])
 def test_monte_carlo_batches_equal_trials_run_alone(preset_trial, monkeypatch, batch,
                                                     n_trials, steps):
-    """Batches of 1, 7 and 100 trials (a cstr5 trial stacks 6 Kalman rows)
-    give records equal, field for field, to simulate_trial's; each batch's
-    trials step in lockstep, one bank step per step."""
-    monkeypatch.setattr(sim, "MAX_CYCLE_ROWS", 6 * batch)
-    calls = Counter()
-    real = sim._bank_step
+    """Batches of 1, 7 and 100 trials give records equal, field for field,
+    to simulate_trial's, and each batch's trials step in lockstep, one bank
+    step per step: on cstr5 (a trial stacks 1 + 1 + 4 Kalman rows), on
+    quad4's 16 modes under the zero strategy (1 + 1 + 16 rows) and on cstr5
+    with an unreachable mode."""
+    base = dataclasses.replace(preset_trial, steps=steps)
+    quad4 = dataclasses.replace(load_config(str(QUAD4)).trial, steps=steps)
+    unreachable = dataclasses.replace(base, chain=_unreachable_mode_chain(base.chain))
+    for cfg in (base, quad4, unreachable):
+        monkeypatch.setattr(sim, "MAX_CYCLE_ROWS", (2 + cfg.chain.s) * batch)
+        calls = Counter()
+        real = sim._bank_step
 
-    def counted(banks, *args):
-        calls[len(banks)] += 1
-        return real(banks, *args)
+        def counted(banks, *args):
+            calls[len(banks)] += 1
+            return real(banks, *args)
 
-    monkeypatch.setattr(sim, "_bank_step", counted)
-    cfg = dataclasses.replace(preset_trial, steps=steps)
-    records = list(run_monte_carlo(cfg, n_trials, 55, ESTIMATOR_KEYS))
-    sizes = [min(batch, n_trials - first) for first in range(0, n_trials, batch)]
-    assert calls == Counter({size: steps * sizes.count(size) for size in set(sizes)})
-    monkeypatch.undo()
-    _assert_monte_carlo_equals_alone(cfg, n_trials, 55, ESTIMATOR_KEYS, records)
+        monkeypatch.setattr(sim, "_bank_step", counted)
+        records = list(run_monte_carlo(cfg, n_trials, 55, ESTIMATOR_KEYS))
+        sizes = [min(batch, n_trials - first) for first in range(0, n_trials, batch)]
+        assert calls == Counter({size: steps * sizes.count(size) for size in set(sizes)})
+        monkeypatch.undo()
+        assert not any(rec.failed for rec in records)
+        _assert_monte_carlo_equals_alone(cfg, n_trials, 55, ESTIMATOR_KEYS, records)
 
 
 def test_monte_carlo_batch_size_follows_the_row_bound(preset_trial, monkeypatch):

@@ -60,8 +60,10 @@ def test_traced_trial_scores_candidates_once_per_step():
 
 def test_traced_monte_carlo_runs_one_cycle_per_step():
     """A Monte Carlo batch steps its trials in lockstep: each step runs one
-    Kalman cycle for all trials' banks, while every trial still scores its
-    candidates once per estimator; the models are built once per batch."""
+    Kalman cycle for all trials' banks and one IMM recursion for all their
+    IMMs (one prior prediction and one posterior update), while alg1 and
+    alg2 still score their candidates and predict their prior once per
+    trial; the models are built once per batch."""
     steps, trials = 5, 4
     cfg = dataclasses.replace(load_config("cstr5").trial, steps=steps)
     records, _, names = _traced(lambda: list(run_monte_carlo(cfg, trials, 9, ESTIMATOR_KEYS)))
@@ -79,6 +81,12 @@ def test_traced_monte_carlo_runs_one_cycle_per_step():
     for key in ESTIMATOR_KEYS:
         assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == trials
         assert totals[f"filters.{key}.step"] == 0
+    assert totals["markov.predict_prior"] == 2 * trials * steps + steps
+    _, _, imm_names = _traced(lambda: list(run_monte_carlo(cfg, trials, 9, ("imm",))))
+    imm_totals = Counter(imm_names)
+    for fn in ("markov.predict_prior", "filters.mode_posterior_update_log",
+               "filters.kf_predict", "filters.kf_update"):
+        assert imm_totals[fn] == steps, fn
 
 
 def test_traced_online_step_scores_candidates_once():
