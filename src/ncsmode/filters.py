@@ -414,14 +414,20 @@ def _initial_probs(prior, s: int) -> np.ndarray:
     return probs
 
 
-def _step_signals(key: str, u, y, force_mode=None, s: int = 0):
-    """A step's (u, y) as flat float vectors, checked finite; a forced mode
-    must name one of the s modes."""
-    if force_mode is not None and not 1 <= force_mode <= s:
-        raise ValueError(f"force_mode {force_mode} outside 1..{s}")
+def _step_signals(est, u, y, m: int, force_mode=None):
+    """A step's (u, y) for estimator ``est`` as flat float vectors, checked to
+    hold its r inputs and m outputs and to be finite; a forced mode must name
+    one of its s modes."""
+    space = est.space
+    if force_mode is not None and not 1 <= force_mode <= space.s:
+        raise ValueError(f"force_mode {force_mode} outside 1..{space.s}")
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
-    _require_finite(f"{key} step inputs", u, y)
+    if u.shape[0] != space.r:
+        raise ValueError(f"{est.key} step input u has {u.shape[0]} entries, expected {space.r}")
+    if y.shape[0] != m:
+        raise ValueError(f"{est.key} step output y has {y.shape[0]} entries, expected {m}")
+    _require_finite(f"{est.key} step inputs", u, y)
     return u, y
 
 
@@ -429,14 +435,14 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
     """One step of a batch of banks; returns each bank's results in bank order.
 
     A bank's estimators are started and stepped on the same signals; the
-    banks of a batch (one per trial) step on their own signals ``us[b]``,
-    ``ys[b]`` and all share one augmented model ``aug``, mode chain and
-    held-input floor. Each bank's (u, y) is converted and checked once,
-    under its first estimator's key. Then every estimator decides, one
-    Kalman cycle runs on the stacked mode-table rows they ask for (the
-    decided mode of ``alg1`` and ``alg2``, the s mixed filters of ``imm``)
-    with each row's own previous input and measurement, and every estimator
-    commits. ``alg1`` and ``alg2`` step bank by bank, and the IMMs of all
+    banks of a batch (one per trial) step on their own signals, row b of
+    the (B, r) inputs ``us`` and of the (B, m) outputs ``ys``, and all share
+    one augmented model ``aug``, mode chain and held-input floor. All the
+    rows are checked finite at once: a non-finite one raises, naming no
+    trial. Then every estimator decides, one Kalman cycle runs on the
+    stacked mode-table rows they ask for (the decided mode of ``alg1`` and
+    ``alg2``, the s mixed filters of ``imm``) with each row's own previous
+    input and measurement, and every estimator commits. ``alg1`` and ``alg2`` step bank by bank, and the IMMs of all
     the banks step together (``_imm_step``). Each such step is a generator:
 
     1. up to its first yield it decides, committing nothing, and yields
@@ -456,9 +462,9 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
     ``step`` runs the same generator, for a batch of one, through
     ``_lone_step``.
     """
+    _require_finite("step inputs", us, ys)
     steps, imms = [], []
     for bank, u, y in zip(banks, us, ys):
-        u, y = _step_signals(bank[0].key, u, y)
         for est in bank:
             if est.key == "imm":
                 imms.append((est, u, y))
@@ -657,7 +663,7 @@ class Alg1Estimator:
         later), ``y`` the current measurement. ``force_mode`` substitutes an
         externally known mode for the argmax decision (diagnostics).
         """
-        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
+        u, y = _step_signals(self, u, y, self.arma.m, force_mode)
         return _lone_step(self._step(u, y, force_mode), self._kf, self._held_cov_floor)
 
     def _step(self, u, y, force_mode):
@@ -756,7 +762,7 @@ class Alg2Estimator:
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        u, y = _step_signals(self.key, u, y, force_mode, self.space.s)
+        u, y = _step_signals(self, u, y, self.aug.plant.m, force_mode)
         return _lone_step(self._step(u, y, force_mode), self.aug, self._held_cov_floor)
 
     def _step(self, u, y, force_mode):
@@ -830,6 +836,6 @@ class ImmEstimator:
     def step(self, u, y) -> StepResult:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
-        u, y = _step_signals(self.key, u, y)
+        u, y = _step_signals(self, u, y, self.aug.plant.m)
         return _lone_step(_imm_step(self.aug, [self], [u], [y]), self.aug,
                           self._held_cov_floor)[0]

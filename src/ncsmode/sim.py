@@ -6,11 +6,12 @@ inputs. The estimator half then steps the selected estimators as one bank
 on exactly the signals a controller would see: the issued inputs and the
 measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
-A Monte Carlo run steps the banks of a batch of trials in lockstep, with
-one stacked Kalman cycle per step for all of them and one IMM recursion
-for all their IMMs (``alg1`` and ``alg2`` decide trial by trial); each
-record equals the one its trial gives alone. Every entry point refuses an
-unknown or repeated estimator name.
+A Monte Carlo run splits its trials into batches, run in this process or
+by a pool of worker processes. A batch's banks step in lockstep, with one
+stacked Kalman cycle per step for all of them and one IMM recursion for
+all their IMMs (``alg1`` and ``alg2`` decide trial by trial); each record
+equals the one its trial gives alone. Every entry point refuses an unknown
+or repeated estimator name.
 
 Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
@@ -310,33 +311,33 @@ def _simulate_truth(cfg: TrialConfig, aug):
     return true_modes, true_states, ys, us, u_applied
 
 
-def _run_estimators(cfg: TrialConfig, names, aug, signals) -> list:
+def _run_estimators(cfg: TrialConfig, names, aug, us, ys) -> list:
     """Step the estimators of a batch of trials in lockstep.
 
-    ``signals`` holds each trial's (u, y), all covering the same steps; the
-    trials share ``cfg`` but for their signals. Each trial's estimators form
-    a bank, started on (u_0, y_0); then every step runs all the banks through
-    one ``_bank_step`` on their (u_k, y_k). Returns, per trial, modes, states
-    and fallbacks per name, aligned as in a TrialRecord (filled up to a
-    failure), and None or the first numerical failure as (step, reason,
-    exception).
+    ``us`` and ``ys`` stack the trials' issued inputs (T, N+1, r) and
+    measured outputs (T, N+1, m); the trials share ``cfg`` but for their
+    signals. Each trial's estimators form a bank, started on (u_0, y_0);
+    then every step runs all the banks through one ``_bank_step`` on their
+    (u_k, y_k) rows. Returns, per trial, modes, states and fallbacks per
+    name, aligned as in a TrialRecord (filled up to a failure), and None or
+    the first numerical failure as (step, reason, exception).
 
-    A batched step that raises commits nothing, so it is re-run trial by
-    trial: each trial's bank step alone and, if that raises too, one
-    estimator at a time in selection order. So a trial's failure, and the
-    results of the estimators ahead of the one that fails, are those of
-    stepping each estimator of that trial alone. A failed trial leaves the
-    batch; the rest go on.
+    A batched step that raises commits nothing, so it is re-run one way:
+    each trial's estimators step alone (``step``), in selection order. Every
+    row of a batched step is computed as it is alone, so a trial's failure,
+    and the results of the estimators ahead of the one that fails, are those
+    of stepping each estimator of that trial alone. A failed trial leaves
+    the batch; the rest go on.
     """
-    nsteps, n = signals[0][0].shape[0] - 1, cfg.plant.n
+    n_trials, nsteps, n = us.shape[0], us.shape[1] - 1, cfg.plant.n
     floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
     out = [
         ({name: np.zeros(nsteps, dtype=int) for name in names},
          {name: np.zeros((nsteps, n)) for name in names},
          {name: np.zeros(nsteps, dtype=bool) for name in names})
-        for _ in signals
+        for _ in range(n_trials)
     ]
-    failures = [None] * len(signals)
+    failures = [None] * n_trials
     if not names:
         return [(*arrays, None) for arrays in out]
 
@@ -346,45 +347,33 @@ def _run_estimators(cfg: TrialConfig, names, aug, signals) -> list:
         states[name][k - 1] = res.state[:n]
         fallbacks[name][k - 1] = res.fallback
 
-    def step_alone(t):
-        """Trial t's step k by itself; None or its failure."""
-        u, y = signals[t][0][k], signals[t][1][k]
-        try:
-            results = _bank_step([banks[t]], aug, floor, [u], [y])[0]
-        except (NumericalError, np.linalg.LinAlgError):
-            for name, est in zip(names, banks[t]):
-                try:
-                    record(t, name, est.step(u, y))
-                except (NumericalError, np.linalg.LinAlgError) as exc:
-                    return k, f"{name}: {exc}", exc
-            return None
-        for name, res in zip(names, results):
-            record(t, name, res)
-        return None
-
     try:
         # the estimators depend on cfg alone: every trial's build, or none
         arma = None
         if "alg1" in names:
             arma = cfg.arma if cfg.arma is not None else ss_to_arma(cfg.plant)
         banks = [tuple(_build_estimators(cfg, names, aug, floor, arma).values())
-                 for _ in signals]
+                 for _ in range(n_trials)]
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return [(*arrays, (0, str(exc), exc)) for arrays in out]
-    for bank, (u, y) in zip(banks, signals):
+    for bank, u, y in zip(banks, us, ys):
         for est in bank:
             est.start(u[0], y[0])
-    active = list(range(len(signals)))
+    active = list(range(n_trials))
     for k in range(1, nsteps + 1):
         if not active:
             break
+        u_k, y_k = us[active, k], ys[active, k]
         try:
-            results = _bank_step([banks[t] for t in active], aug, floor,
-                                 [signals[t][0][k] for t in active],
-                                 [signals[t][1][k] for t in active])
+            results = _bank_step([banks[t] for t in active], aug, floor, u_k, y_k)
         except (NumericalError, np.linalg.LinAlgError):
-            for t in active:
-                failures[t] = step_alone(t)
+            for t, u, y in zip(active, u_k, y_k):
+                for name, est in zip(names, banks[t]):
+                    try:
+                        record(t, name, est.step(u, y))
+                    except (NumericalError, np.linalg.LinAlgError) as exc:
+                        failures[t] = k, f"{name}: {exc}", exc
+                        break
             active = [t for t in active if failures[t] is None]
             continue
         for t, bank_results in zip(active, results):
@@ -400,7 +389,8 @@ def _simulate_trials(configs, names) -> list[TrialRecord]:
     cfg = configs[0]
     aug = build_augmented(cfg.plant, cfg.strategy)
     truths = [_simulate_truth(trial, aug) for trial in configs]
-    estimates = _run_estimators(cfg, names, aug, [(u, y) for _, _, y, u, _ in truths])
+    estimates = _run_estimators(cfg, names, aug, np.stack([u for _, _, _, u, _ in truths]),
+                                np.stack([y for _, _, y, _, _ in truths]))
     records = []
     for trial, truth, estimate in zip(configs, truths, estimates):
         true_modes, true_states, y, u, u_applied = truth
@@ -426,11 +416,6 @@ def simulate_trial(cfg: TrialConfig, estimator_names=ESTIMATOR_KEYS) -> TrialRec
     return _simulate_trials([cfg], _estimator_names(estimator_names))[0]
 
 
-def _simulate_star(args) -> TrialRecord:
-    cfg, names = args
-    return simulate_trial(cfg, names)
-
-
 def run_monte_carlo(
     cfg: TrialConfig,
     n_trials: int,
@@ -440,36 +425,43 @@ def run_monte_carlo(
 ) -> Iterator[TrialRecord]:
     """Yield ``n_trials`` independent trial records in trial order.
 
-    Trial t runs with seed ``derive_trial_seed(base_seed, t)``. The run
-    takes ``min(n_jobs, n_trials, os.cpu_count())`` worker processes, each
-    running one trial at a time; with one, the trials run in batches whose
-    estimators step in lockstep, as many trials to a batch as fit
-    ``MAX_CYCLE_ROWS`` Kalman rows. Records are identical either way, and
-    equal to :func:`simulate_trial`'s, because each trial owns its streams
-    and every row of a batched step is computed as it is alone.
+    Trial t runs with seed ``derive_trial_seed(base_seed, t)``. The trials
+    run in batches whose estimators step in lockstep, on
+    ``min(n_jobs, n_trials, os.cpu_count())`` workers: a batch holds
+    ⌈n_trials / workers⌉ trials, and no more than fit ``MAX_CYCLE_ROWS``
+    Kalman rows. With one worker the batches run in this process, with more
+    a pool of worker processes runs them. Records are identical either way,
+    and equal to :func:`simulate_trial`'s, because each trial owns its
+    streams and every row of a batched step is computed as it is alone.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
+    if n_jobs < 1:
+        raise ValueError("n_jobs must be at least 1")
     names = _estimator_names(estimator_names)
     configs = [
         dataclasses.replace(cfg, seed=derive_trial_seed(base_seed, t))
         for t in range(n_trials)
     ]
     workers = min(n_jobs, n_trials, os.cpu_count() or 1)
-    if workers <= 1:
-        rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
-        size = max(1, MAX_CYCLE_ROWS // max(rows, 1))
-        for first in range(0, n_trials, size):
-            yield from _simulate_trials(configs[first:first + size], names)
+    rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
+    size = min(-(-n_trials // workers), max(1, MAX_CYCLE_ROWS // max(rows, 1)))
+    batches = [configs[first:first + size] for first in range(0, n_trials, size)]
+    if workers == 1:
+        for batch in batches:
+            yield from _simulate_trials(batch, names)
         return
-    from concurrent.futures import ProcessPoolExecutor  # multiprocessing costs ~2 MB RSS
+    # imported here: loading multiprocessing costs about 1.1 MB RSS
+    from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_simulate_star, [(c, names) for c in configs])
+        for records in pool.map(_simulate_trials, batches, [names] * len(batches)):
+            yield from records
 
 
 def replay_estimators(cfg: TrialConfig, estimator_names, u: np.ndarray, y: np.ndarray):
-    """Re-run estimators offline on recorded (u, y) signals.
+    """Re-run estimators offline on recorded (N+1, r) inputs ``u`` and
+    (N+1, m) outputs ``y``; signals of another shape raise ValueError.
 
     Returns {name: (modes, states, fallbacks)} with the same alignment as a
     TrialRecord. It runs the estimator loop of :func:`simulate_trial`, so it
@@ -477,11 +469,14 @@ def replay_estimators(cfg: TrialConfig, estimator_names, u: np.ndarray, y: np.nd
     """
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
+    for name, signal, size in (("u", u, cfg.plant.r), ("y", y, cfg.plant.m)):
+        if signal.ndim != 2 or not signal.shape[0] or signal.shape[1] != size:
+            raise ValueError(f"{name} must be (steps + 1, {size}), got shape {signal.shape}")
     if u.shape[0] != y.shape[0]:
         raise ValueError("u and y must cover the same steps")
     names = _estimator_names(estimator_names)
     aug = build_augmented(cfg.plant, cfg.strategy)
-    [(modes, states, fallbacks, failure)] = _run_estimators(cfg, names, aug, [(u, y)])
+    [(modes, states, fallbacks, failure)] = _run_estimators(cfg, names, aug, u[None], y[None])
     if failure is not None:
         raise failure[2]
     return {name: (modes[name], states[name], fallbacks[name]) for name in names}

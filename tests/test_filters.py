@@ -483,6 +483,28 @@ def test_force_mode_outside_the_modes_rejected(cstr_plant, cstr_chain, force_mod
             est.step(np.ones(2), np.ones(2), force_mode=force_mode)
 
 
+@pytest.mark.parametrize("u, y, message", [
+    (np.ones(2), np.ones(1), "step output y has 1 entries, expected 2"),
+    (np.ones(1), np.ones(2), "step input u has 1 entries, expected 2"),
+    (np.ones(3), np.ones(2), "step input u has 3 entries, expected 2"),
+], ids=["y-short", "u-short", "u-long"])
+def test_step_signals_of_the_wrong_length_rejected(cstr_plant, cstr_chain, u, y, message):
+    """Each estimator's step takes the r = 2 issued inputs and the m = 2
+    measured outputs of the plant, and refuses a signal of another length,
+    naming it and the size expected."""
+    aug = build_augmented(cstr_plant, LossStrategy.HOLD)
+    bank = [
+        Alg1Estimator(ss_to_arma(cstr_plant), LossStrategy.HOLD, cstr_chain, kf_model=aug,
+                      kf_x0=np.zeros(4), kf_P0=0.1 * np.eye(4)),
+        Alg2Estimator(aug, cstr_chain, x0=np.zeros(4), P0=0.1 * np.eye(4)),
+        ImmEstimator(aug, cstr_chain, x0=np.zeros(4), P0=0.1 * np.eye(4)),
+    ]
+    for est in bank:
+        est.start(np.ones(2), np.ones(2))
+        with pytest.raises(ValueError, match=_exactly(f"{est.key} {message}")):
+            est.step(u, y)
+
+
 def test_alg1_mode_only_operation(cstr_plant, cstr_chain):
     """Without a Kalman model the estimator still decides modes and reports
     no state."""

@@ -77,6 +77,35 @@ def test_estimator_selection_is_checked(preset_trial, entry, names, message):
         run()
 
 
+@pytest.mark.parametrize("n_trials, n_jobs, message", [
+    (0, 1, "n_trials must be at least 1"),
+    (2, 0, "n_jobs must be at least 1"),
+    (2, -3, "n_jobs must be at least 1"),
+], ids=["no-trials", "no-jobs", "negative-jobs"])
+def test_monte_carlo_counts_are_checked(preset_trial, n_trials, n_jobs, message):
+    """A Monte Carlo run refuses a trial or worker count below one instead
+    of running none, or silently one worker."""
+    cfg = dataclasses.replace(preset_trial, steps=5)
+    with pytest.raises(ValueError, match=message):
+        list(run_monte_carlo(cfg, n_trials, 1, ("alg1",), n_jobs=n_jobs))
+
+
+@pytest.mark.parametrize("signal, shape, message", [
+    ("y", (6, 1), r"y must be \(steps \+ 1, 2\), got shape \(6, 1\)"),
+    ("u", (6, 3), r"u must be \(steps \+ 1, 2\), got shape \(6, 3\)"),
+    ("u", (6,), r"u must be \(steps \+ 1, 2\), got shape \(6,\)"),
+    ("y", (0, 2), r"y must be \(steps \+ 1, 2\), got shape \(0, 2\)"),
+], ids=["y-one-column", "u-three-columns", "u-one-dimensional", "y-no-rows"])
+def test_replay_refuses_signals_of_the_wrong_shape(preset_trial, signal, shape, message):
+    """A replay takes (N+1, r) inputs and (N+1, m) outputs, r = m = 2 on
+    cstr5, and refuses others naming the signal and its expected shape."""
+    cfg = dataclasses.replace(preset_trial, steps=5)
+    rec = simulate_trial(cfg, ())
+    signals = {"u": rec.u, "y": rec.y, signal: np.ones(shape)}
+    with pytest.raises(ValueError, match=message):
+        replay_estimators(cfg, ESTIMATOR_KEYS, signals["u"], signals["y"])
+
+
 def test_record_shapes_and_ranges(preset_trial):
     cfg = dataclasses.replace(preset_trial, steps=25, seed=5)
     rec = simulate_trial(cfg, ("alg1", "imm"))
@@ -202,9 +231,11 @@ def test_monte_carlo_workers_capped_by_trials_and_cpus(
     preset_trial, monkeypatch, n_trials, cpus, workers
 ):
     """A job count of 500 never asks for 500 workers: the pool takes at most
-    one per trial and one per CPU, and a cap of one takes the lockstep path.
+    one per trial and one per CPU, and a cap of one takes the lockstep path
+    in this process. The pool's workers run lockstep batches of
+    ⌈trials / workers⌉ trials, never a trial alone through simulate_trial.
     Records are the serial ones either way."""
-    pools = []
+    pools, batches, alone = [], [], []
 
     class Recorder:
         def __init__(self, max_workers):
@@ -216,14 +247,27 @@ def test_monte_carlo_workers_capped_by_trials_and_cpus(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def map(self, fn, *iterables):
+            assert fn is sim._simulate_trials
+            for configs, names in zip(*iterables):
+                batches.append(len(configs))
+                assert names == ("alg1",)
+            return map(fn, *iterables)
+
+    def simulate_trial_alone(*args):
+        alone.append(args)
+        return simulate_trial(*args)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(sim, "simulate_trial", simulate_trial_alone)
     cfg = dataclasses.replace(preset_trial, steps=10)
     records = list(run_monte_carlo(cfg, n_trials, 5, ("alg1",), n_jobs=500))
     assert pools == ([] if workers is None else [workers])
+    if workers is not None:
+        size = -(-n_trials // workers)
+        assert batches == [min(size, n_trials - first) for first in range(0, n_trials, size)]
+    assert not alone
     serial = list(run_monte_carlo(cfg, n_trials, 5, ("alg1",)))
     assert len(records) == len(serial) == n_trials
     for a, b in zip(records, serial):
@@ -636,17 +680,24 @@ def test_batch_with_failing_trials_equals_trials_run_alone(preset_trial, names):
     """Trials that fail in a batch (a 1e308 input row that overflows the
     plant, a NaN input row) fail as they do alone, with the same step,
     reason, estimates and complete truth; the other trials of the batch
-    run on to the end unchanged."""
+    run on to the end unchanged. So they do in batches run by a pool's
+    worker processes."""
     good = [dataclasses.replace(preset_trial, steps=20, seed=seed) for seed in (1, 2, 3)]
     configs = [good[0], _bad_input_trial(preset_trial, 1e308), good[1],
                _bad_input_trial(preset_trial, np.nan), good[2]]
     with np.errstate(over="ignore", invalid="ignore"):
         batched = sim._simulate_trials(configs, names)
         alone = [simulate_trial(trial, names) for trial in configs]
+        # as run_monte_carlo's pool runs them: two workers, one batch each
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2) as pool:
+            pooled = [rec for records in pool.map(sim._simulate_trials, [configs[:3], configs[3:]],
+                                                  [names] * 2)
+                      for rec in records]
     assert [rec.failed for rec in batched] == [False, True, False, True, False]
     assert [rec.fail_step for rec in batched] == [None, 6, None, 5, None]
-    for got, want in zip(batched, alone, strict=True):
+    for got, pool_got, want in zip(batched, pooled, alone, strict=True):
         _assert_records_identical(got, want)
+        _assert_records_identical(pool_got, want)
 
 
 # ---------------------------------------------------------------------------
