@@ -26,13 +26,14 @@ broadcast over such leading axes. Estimators stepped together form a bank,
 and the banks of a batch of trials step in lockstep: one Kalman cycle per
 step runs on the stacked rows of all of them, the decided mode of ``alg1``
 and of ``alg2`` and the s filters of ``imm`` of every trial, each row with
-its trial's input and measurement (``_bank_step``). The IMMs of a batch of
-T trials step as one recursion over (T, s) stacks (``_imm_step``), for
-which ``predict_prior``, ``mode_posterior_update_log`` and ``mode_argmax``
-take a leading trial axis; ``alg1`` and ``alg2`` step per trial. Every
-stacked product and reduction gives each trial's row what that trial gives
-alone, bit for bit. An estimator's own ``step`` runs the same recursion
-for one trial with its own Kalman cycle (``_lone_step``).
+its trial's input and measurement (``_bank_step``). The ``alg2`` estimators
+and the IMMs of a batch of T trials each step as one recursion over (T, s)
+stacks (``_alg2_step``, ``_imm_step``), for which ``alg2_predict``,
+``predict_prior``, ``mode_posterior_update_log`` and ``mode_argmax`` take
+a leading trial axis; ``alg1`` steps per trial. Every stacked product and
+reduction gives each trial's row what that trial gives alone, bit for bit.
+An estimator's own ``step`` runs the same recursion for one trial with its
+own Kalman cycle (``_lone_step``).
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -197,15 +198,22 @@ def kf_predict(A, B, Q, belief: GaussianBelief, u_prev) -> GaussianBelief:
     return GaussianBelief._of(mean, 0.5 * (cov + _t(cov)))
 
 
-def kf_update(C, R, belief: GaussianBelief, y) -> GaussianBelief:
-    """Measurement update with gain K = P C^T (C P C^T + R)^(-1) (batch axes broadcast)."""
+def _innovation(C, R, cov):
+    """C P and the innovation covariance C P C^T + R of covariances P (..., d, d)."""
+    c_pred = C @ cov
+    return c_pred, c_pred @ _t(C) + R
+
+
+def kf_update(C, R, belief: GaussianBelief, y, innov=None) -> GaussianBelief:
+    """Measurement update with gain K = P C^T (C P C^T + R)^(-1) (batch axes
+    broadcast); ``innov`` is the pair (C P, C P C^T + R) of this belief if
+    the caller has computed it already."""
     C = np.asarray(C, dtype=float)
     R = np.asarray(R, dtype=float)
     y = np.asarray(y, dtype=float)
     _require_finite("kf_update inputs", belief.mean, belief.cov, y)
     pred_cov = belief.cov
-    c_pred = C @ pred_cov
-    innov_cov = c_pred @ _t(C) + R
+    c_pred, innov_cov = _innovation(C, R, pred_cov) if innov is None else innov
     try:
         gain = _t(np.linalg.solve(innov_cov, c_pred))
     except np.linalg.LinAlgError as exc:
@@ -285,27 +293,33 @@ def mode_posterior_update_log(prior, loglik) -> tuple[np.ndarray, bool | np.ndar
     """
     prior = np.asarray(prior, dtype=float)
     loglik = np.asarray(loglik, dtype=float).reshape(prior.shape[:-1] + (-1,))
-    if np.count_nonzero(np.isnan(loglik)):
-        raise NumericalError("NaN log-likelihood")
-    if loglik.shape != prior.shape:
-        raise ValueError(
-            f"{loglik.shape[-1]} likelihoods for {prior.shape[-1]} modes"
-        )
-    with np.errstate(divide="ignore"):
+    zero_prior = np.count_nonzero(prior) != prior.size
+    # a zero prior meets a +inf log-likelihood as NaN, so NaNs are sought
+    # first there; else a row's maximum below is NaN if its loglik holds one
+    if zero_prior or loglik.shape != prior.shape:
+        if np.count_nonzero(np.isnan(loglik)):
+            raise NumericalError("NaN log-likelihood")
+        if loglik.shape != prior.shape:
+            raise ValueError(f"{loglik.shape[-1]} likelihoods for {prior.shape[-1]} modes")
+        with np.errstate(divide="ignore"):
+            logw = loglik + np.log(prior)
+    else:
         logw = loglik + np.log(prior)
     top = np.maximum.reduce(logw, axis=-1, keepdims=True)
-    finite = np.isfinite(top)
-    if np.count_nonzero(finite) != finite.size:
-        fallback = ~finite[..., 0]
-        top[fallback] = 0.0  # those rows' weights are replaced by the prior
+    one = prior.ndim == 1
+    if (math.isfinite(top[0]) if one else np.count_nonzero(np.isfinite(top)) == top.size):
         weights = np.exp(logw - top)
-        total = np.add.reduce(weights, axis=-1, keepdims=True)
-        total[fallback] = 1.0
-        probs = np.where(finite, weights / total, prior)
-        return probs, (bool(fallback) if fallback.ndim == 0 else fallback)
+        probs = weights / np.add.reduce(weights, axis=-1, keepdims=True)
+        return probs, (False if one else np.zeros(prior.shape[0], dtype=bool))
+    if np.count_nonzero(np.isnan(loglik)):
+        raise NumericalError("NaN log-likelihood")
+    fallback = ~np.isfinite(top)
+    top[fallback] = 0.0  # those rows' weights are replaced by the prior
     weights = np.exp(logw - top)
-    probs = weights / np.add.reduce(weights, axis=-1, keepdims=True)
-    return probs, (False if prior.ndim == 1 else np.zeros(prior.shape[0], dtype=bool))
+    total = np.add.reduce(weights, axis=-1, keepdims=True)
+    total[fallback] = 1.0
+    probs = np.where(fallback, prior, weights / total)
+    return probs, (bool(fallback[0]) if one else fallback[..., 0])
 
 
 def mode_argmax(posterior) -> int | np.ndarray:
@@ -368,11 +382,17 @@ def alg2_predict(
 
     yhat_j = C A(j) mean + C B(j) u_prev
     sigma_j = C A(j) P A(j)^T C^T + C Q C^T + R
+
+    Stacked beliefs (T, d) and inputs (T, r) give each trial's, bit for bit,
+    as (T, s, m) means and (T, s, m, m) covariances.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     ca, cb = aug.output_tables
-    yhat = _mv(ca, belief.mean) + _mv(cb, u_prev)
-    sigma = ca @ belief.cov @ _t(ca) + aug._output_process_cov + aug.R
+    mean, cov = belief.mean, belief.cov
+    if mean.ndim > 1:  # a candidate axis for a stack of beliefs
+        mean, cov, u_prev = mean[..., None, :], cov[..., None, :, :], u_prev[..., None, :]
+    yhat = _mv(ca, mean) + _mv(cb, u_prev)
+    sigma = ca @ cov @ _t(ca) + aug._output_process_cov + aug.R
     return yhat, 0.5 * (sigma + _t(sigma))
 
 
@@ -442,19 +462,21 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
     trial. Then every estimator decides, one Kalman cycle runs on the
     stacked mode-table rows they ask for (the decided mode of ``alg1`` and
     ``alg2``, the s mixed filters of ``imm``) with each row's own previous
-    input and measurement, and every estimator commits. ``alg1`` and ``alg2`` step bank by bank, and the IMMs of all
-    the banks step together (``_imm_step``). Each such step is a generator:
+    input and measurement, and every estimator commits. ``alg1`` steps bank
+    by bank; the ``alg2`` estimators of all the banks step together
+    (``_alg2_step``), and so do their IMMs (``_imm_step``). Each such step
+    is a generator:
 
     1. up to its first yield it decides, committing nothing, and yields
-       ``(rows, belief, u_prev, y)``: one row (an integer) with a (d,)
-       belief and the bank's (u_prev, y); every row (``slice(None)``) with
-       the (..., s, d) beliefs of stacked banks of filters, one per row,
-       and (u_prev, y) that broadcast over them; or no rows (None, for a
-       mode-only ``alg1``);
-    2. it is sent its rows' predicted belief (None without rows);
+       ``(rows, belief, u_prev, y)``: None (a mode-only ``alg1``), or its
+       table rows, an int or int array shaped like the belief's leading
+       axes (one row of a (d,) belief for ``alg1``, (T,) rows of (T, d)
+       beliefs for ``alg2``, (T, s) rows of (T, s, d) beliefs for ``imm``),
+       with (u_prev, y) that broadcast over those axes;
+    2. it is sent its rows' predicted means and innovation covariances
+       C P C^T + R, shaped like its rows (None without rows);
     3. it is sent its rows' updated and floored belief, finishes everything
-       that can raise and yields its StepResult (the IMMs' list of them, in
-       bank order);
+       that can raise and yields the StepResults of its estimators;
     4. resumed once more, it commits.
 
     No estimator commits before every one of the batch has reached phase 3,
@@ -463,74 +485,117 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
     ``_lone_step``.
     """
     _require_finite("step inputs", us, ys)
-    steps, imms = [], []
+    steps, batched = [], {"alg2": [], "imm": []}
     for bank, u, y in zip(banks, us, ys):
         for est in bank:
-            if est.key == "imm":
-                imms.append((est, u, y))
+            if est.key == "alg1":
+                steps.append(([est], est._step(u, y, None)))
             else:
-                steps.append(est._step(u, y, None))
-    if imms:
-        steps.append(_imm_step(aug, *zip(*imms)))
+                batched[est.key].append((est, u, y))
+    for make_step, group in ((_alg2_step, batched["alg2"]), (_imm_step, batched["imm"])):
+        if group:
+            ests, group_us, group_ys = zip(*group)
+            steps.append((ests, make_step(aug, ests, group_us, group_ys)))
     parts, blocks, n_rows = [], [], 0
-    for step in steps:
+    for _, step in steps:
         rows, belief, u_prev, y = next(step)
         if rows is None:
             parts.append(None)
             continue
-        if isinstance(rows, slice):  # the IMMs' filters, every table row per trial
-            lead, d = belief.mean.shape[:-1], belief.mean.shape[-1]
-            size = math.prod(lead)
-            parts.append(slice(n_rows, n_rows + size))
-            n_rows += size
-            rows = np.broadcast_to(np.arange(aug.space.s), lead).reshape(-1)
-            blocks.append((rows, belief.mean.reshape(-1, d),
-                           belief.cov.reshape(-1, d, d),
-                           np.broadcast_to(u_prev, lead + u_prev.shape[-1:]).reshape(size, -1),
-                           np.broadcast_to(y, lead + y.shape[-1:]).reshape(size, -1)))
-        else:
-            parts.append(n_rows)
-            n_rows += 1
-            blocks.append(([rows], belief.mean[None], belief.cov[None], u_prev[None], y[None]))
-    pred = upd = None
+        rows, d = np.asarray(rows), belief.mean.shape[-1]
+        lead, size = rows.shape, rows.size
+        parts.append((slice(n_rows, n_rows + size), lead))
+        n_rows += size
+        blocks.append((rows.reshape(size), belief.mean.reshape(size, d),
+                       belief.cov.reshape(size, d, d), _flat(u_prev, lead, size),
+                       _flat(y, lead, size)))
+    pred = upd = innov = None
     if blocks:
         rows, mean, cov, u_prev, y = (np.concatenate(arrays) for arrays in zip(*blocks))
         a_tab, b_tab = aug.mode_tables
         pred = kf_predict(a_tab.take(rows, 0), b_tab.take(rows, 0), aug.Q,
                           GaussianBelief._of(mean, cov), u_prev)
-    for step, part in zip(steps, parts):
-        step.send(_part(pred, part))
+        innov = _innovation(aug.C, aug.R, pred.cov)
+    for (_, step), part in zip(steps, parts):
+        step.send(None if part is None else _rows(part, pred.mean, innov[1]))
     if pred is not None:
-        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
-    results = [step.send(_part(upd, part)) for step, part in zip(steps, parts)]
-    for step in steps:
+        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y, innov), aug.plant.n, floor)
+    results = {}
+    for (ests, step), part in zip(steps, parts):
+        belief = None if part is None else GaussianBelief._of(*_rows(part, upd.mean, upd.cov))
+        results.update(zip(ests, step.send(belief)))
+    for _, step in steps:
         next(step, None)
-    imm_results = iter(results.pop() if imms else ())
-    results = iter(results)
-    return [[next(imm_results if est.key == "imm" else results) for est in bank]
-            for bank in banks]
+    return [[results[est] for est in bank] for bank in banks]
 
 
-def _part(belief: GaussianBelief | None, part) -> GaussianBelief | None:
-    """One estimator's rows (views) of a stacked belief."""
-    return None if part is None else GaussianBelief._of(belief.mean[part], belief.cov[part])
+def _flat(signal: np.ndarray, lead: tuple, size: int) -> np.ndarray:
+    """A step's (u_prev or y) signal as one row for each of its ``size``
+    table rows, shaped ``lead``."""
+    if signal.shape[:-1] != lead:
+        signal = np.broadcast_to(signal, lead + signal.shape[-1:])
+    return signal.reshape(size, -1)
 
 
-def _lone_step(step, aug, floor) -> StepResult:
+def _rows(part, *arrays) -> list[np.ndarray]:
+    """One step's rows (views) of stacked (N, ...) arrays, shaped like its
+    rows: ``part`` is their slice of the stack and their shape."""
+    rows, lead = part
+    return [arr[rows].reshape(lead + arr.shape[1:]) for arr in arrays]
+
+
+def _lone_step(step, aug, floor) -> list[StepResult]:
     """Run one step generator of ``_bank_step``'s protocol with its own
     Kalman cycle: its rows of the mode tables are picked from the tables
     and nothing is stacked with other estimators."""
     rows, belief, u_prev, y = next(step)
-    pred = upd = None
-    if rows is not None:
+    upd = None
+    if rows is None:
+        step.send(None)
+    else:
         a_tab, b_tab = aug.mode_tables
         pred = kf_predict(a_tab[rows], b_tab[rows], aug.Q, belief, u_prev)
-    step.send(pred)
-    if pred is not None:
-        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y), aug.plant.n, floor)
-    result = step.send(upd)
+        innov = _innovation(aug.C, aug.R, pred.cov)
+        step.send((pred.mean, innov[1]))
+        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y, innov), aug.plant.n, floor)
+    results = step.send(upd)
     next(step, None)
-    return result
+    return results
+
+
+def _alg2_step(aug, ests, us, ys, force_mode=None):
+    """One step of T trials' ``alg2`` estimators (``Alg2Estimator``) on their
+    signals ``us[t]``, ``ys[t]``: one candidate prediction from their stacked
+    (T, d) beliefs, one Cholesky scoring of the (T, s) candidates, one prior,
+    posterior update and argmax (a single trial's arrays are used
+    unstacked). As a step generator of ``_bank_step`` it yields each trial's
+    decided table row with its belief, previous input and measurement, then
+    the T StepResults as a list. ``force_mode`` replaces the decision of a
+    single trial. The estimators share ``aug`` and their mode chain, and
+    each trial gets, bit for bit, the numbers it gets alone."""
+    if len(ests) == 1:
+        (est,), rows = ests, lambda a: [a]
+        belief, last_u, prior, y = est._belief, est._last_u, est._probs, ys[0]
+    else:
+        rows = list
+        belief = GaussianBelief._of(np.array([est._belief.mean for est in ests]),
+                                    np.array([est._belief.cov for est in ests]))
+        last_u, prior, y = (np.array(arrays) for arrays in (
+            [est._last_u for est in ests], [est._probs for est in ests], ys))
+    yhat, sigma = alg2_predict(aug, belief, last_u)
+    chol = _cholesky(sigma)
+    loglik = _chol_logpdf(y[..., None, :] - yhat, chol, _log_det_half(chol))
+    probs, fallback = mode_posterior_update_log(predict_prior(prior, ests[0]._P), loglik)
+    mode = mode_argmax(probs) if force_mode is None else force_mode
+
+    yield mode - 1, belief, last_u, y
+    upd = yield
+    yield [StepResult(int(j), state, p.copy(), ll, bool(flag)) for j, state, p, ll, flag
+           in zip(rows(mode), rows(upd.mean), rows(probs), rows(loglik), rows(fallback))]
+
+    beliefs = [upd] if len(ests) == 1 else map(GaussianBelief._of, upd.mean, upd.cov)
+    for est, u, p, new in zip(ests, us, rows(probs), beliefs):
+        est._probs, est._belief, est._last_u = p, new, u
 
 
 def _imm_step(aug, imms, us, ys):
@@ -538,11 +603,11 @@ def _imm_step(aug, imms, us, ys):
     ``us[t]``, ``ys[t]``: one prior, mixing, scoring, posterior update and
     combination over their stacked (T, s) arrays (a single trial's are used
     unstacked). As a step generator of ``_bank_step`` it yields every table
-    row, the mixed filters and each trial's (u_prev, y) with a unit axis
-    that broadcasts over them, then the T StepResults as a list. The IMMs
-    share ``aug`` and their mode chain. Every product stacks per-trial
-    matrix products and every reduction runs along a row, so each trial
-    gets, bit for bit, the numbers it gets alone."""
+    row of every trial, the mixed filters and each trial's (u_prev, y) with
+    a unit axis that broadcasts over them, then the T StepResults as a list.
+    The IMMs share ``aug`` and their mode chain. Every product stacks
+    per-trial matrix products and every reduction runs along a row, so each
+    trial gets, bit for bit, the numbers it gets alone."""
     first, trans = imms[0], imms[0]._P
     # T > 1 trials' arrays stack on a leading axis, and their rows are the
     # trials' own; a single trial's arrays are used as they are
@@ -556,26 +621,25 @@ def _imm_step(aug, imms, us, ys):
     weights = np.where(reach[..., None], weights, first._eye)
     mixed = _moment_match(weights, stack([imm._means for imm in imms]),
                           stack([imm._covs for imm in imms]))
-    y = stack(ys)[..., None, :]
+    last_u, y = stack([imm._last_u for imm in imms])[..., None, :], stack(ys)[..., None, :]
+    table_rows = np.arange(prior.shape[-1])
+    if len(imms) > 1:
+        table_rows = np.broadcast_to(table_rows, prior.shape)
 
-    pred = yield slice(None), mixed, stack([imm._last_u for imm in imms])[..., None, :], y
-    shape = mixed.mean.shape
-    c_mat = aug.C
-    innov_cov = c_mat @ pred.cov.reshape(shape + shape[-1:]) @ c_mat.T + aug.R
+    pred_mean, innov_cov = yield table_rows, mixed, last_u, y
     chol = _cholesky(0.5 * (innov_cov + _t(innov_cov)))
-    loglik = _chol_logpdf(y - _mv(c_mat, pred.mean.reshape(shape)), chol, _log_det_half(chol))
+    loglik = _chol_logpdf(y - _mv(aug.C, pred_mean), chol, _log_det_half(chol))
 
     upd = yield
     mu, fallback = mode_posterior_update_log(prior, loglik)
-    mean, cov = upd.mean.reshape(shape), upd.cov.reshape(shape + shape[-1:])
-    combined = _moment_match(mu[..., None, :], mean, cov)
+    combined = _moment_match(mu[..., None, :], upd.mean, upd.cov)
     states, state_covs = rows(combined.mean[..., 0, :]), rows(combined.cov[..., 0, :, :])
     yield [StepResult(int(mode), state, probs.copy(), ll, bool(flag))
            for mode, state, probs, ll, flag
            in zip(rows(mode_argmax(mu)), states, rows(mu), rows(loglik), rows(fallback))]
 
     for imm, means, covs, probs, u, state, state_cov in zip(
-        imms, rows(mean), rows(cov), rows(mu), us, states, state_covs
+        imms, rows(upd.mean), rows(upd.cov), rows(mu), us, states, state_covs
     ):
         imm._means, imm._covs, imm._mu, imm._last_u = means, covs, probs, u
         imm._combined = state, state_cov
@@ -664,7 +728,7 @@ class Alg1Estimator:
         externally known mode for the argmax decision (diagnostics).
         """
         u, y = _step_signals(self, u, y, self.arma.m, force_mode)
-        return _lone_step(self._step(u, y, force_mode), self._kf, self._held_cov_floor)
+        return _lone_step(self._step(u, y, force_mode), self._kf, self._held_cov_floor)[0]
 
     def _step(self, u, y, force_mode):
         """This estimator's part of a bank step (see ``_bank_step``)."""
@@ -705,9 +769,9 @@ class Alg1Estimator:
 
         yield (None if self._kf is None else mode - 1), self._belief, self._u_hist[0], y
         belief = yield
-        yield StepResult(
+        yield [StepResult(
             mode, None if belief is None else belief.mean, probs.copy(), loglik, fallback
-        )
+        )]
 
         self._probs = probs
         if hold:
@@ -726,7 +790,8 @@ class Alg2Estimator:
     Candidate output predictions come from a single Kalman filter's belief,
     and the decided mode selects the system matrices for that filter's next
     cycle, so mode and state estimates are produced together and cannot be
-    separated.
+    separated. The ``alg2`` estimators of a batch of trials step together
+    (``_alg2_step``); ``step`` runs a batch of one.
     """
 
     key = "alg2"
@@ -763,23 +828,8 @@ class Alg2Estimator:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.aug.plant.m, force_mode)
-        return _lone_step(self._step(u, y, force_mode), self.aug, self._held_cov_floor)
-
-    def _step(self, u, y, force_mode):
-        """This estimator's part of a bank step (see ``_bank_step``)."""
-        yhat, sigma = alg2_predict(self.aug, self._belief, self._last_u)
-        chol = _cholesky(sigma)
-        loglik = _chol_logpdf(y - yhat, chol, _log_det_half(chol))
-
-        prior = predict_prior(self._probs, self._P)
-        probs, fallback = mode_posterior_update_log(prior, loglik)
-        mode = mode_argmax(probs) if force_mode is None else force_mode
-
-        yield mode - 1, self._belief, self._last_u, y
-        belief = yield
-        yield StepResult(mode, belief.mean, probs.copy(), loglik, fallback)
-
-        self._probs, self._belief, self._last_u = probs, belief, u
+        return _lone_step(_alg2_step(self.aug, [self], [u], [y], force_mode), self.aug,
+                          self._held_cov_floor)[0]
 
 
 class ImmEstimator:

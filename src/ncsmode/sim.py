@@ -8,10 +8,11 @@ measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
 A Monte Carlo run splits its trials into batches, run in this process or
 by a pool of worker processes. A batch's banks step in lockstep, with one
-stacked Kalman cycle per step for all of them and one IMM recursion for
-all their IMMs (``alg1`` and ``alg2`` decide trial by trial); each record
-equals the one its trial gives alone. Every entry point refuses an unknown
-or repeated estimator name.
+stacked Kalman cycle per step for all of them, one ``alg2`` recursion for
+all their ``alg2`` estimators and one IMM recursion for all their IMMs
+(``alg1`` decides trial by trial); each record equals the one its trial
+gives alone. Every entry point refuses an unknown or repeated estimator
+name.
 
 Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
@@ -433,6 +434,7 @@ def run_monte_carlo(
     a pool of worker processes runs them. Records are identical either way,
     and equal to :func:`simulate_trial`'s, because each trial owns its
     streams and every row of a batched step is computed as it is alone.
+    The arguments are checked at the call, before any record is asked for.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
@@ -447,6 +449,11 @@ def run_monte_carlo(
     rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
     size = min(-(-n_trials // workers), max(1, MAX_CYCLE_ROWS // max(rows, 1)))
     batches = [configs[first:first + size] for first in range(0, n_trials, size)]
+    return _run_batches(batches, names, workers)
+
+
+def _run_batches(batches, names, workers: int) -> Iterator[TrialRecord]:
+    """The batches' records in order, run here or by a pool of ``workers``."""
     if workers == 1:
         for batch in batches:
             yield from _simulate_trials(batch, names)

@@ -14,9 +14,13 @@ from ncsmode.filters import (
     ImmEstimator,
     NumericalError,
     _chi2_upper_quantile,
+    _chol_logpdf,
+    _cholesky,
+    _log_det_half,
     alg1_const_sigma,
     alg1_predict_output,
     alg2_predict,
+    floor_held_cov,
     gaussian_logpdf,
     kf_predict,
     kf_update,
@@ -275,6 +279,35 @@ def test_posterior_recursion_on_a_stack_equals_row_by_row(s):
     assert mode_argmax(ties).tolist() == [1, s - 1]
 
 
+@pytest.mark.parametrize("stacked", [False, True], ids=["one-row", "stack"])
+def test_posterior_update_tells_nan_from_infinite_likelihoods(stacked):
+    """A NaN log-likelihood raises, whatever the prior and even beside a
+    length mismatch; a +inf one is a fallback (the prior, flagged), at a
+    positive prior and at a zero prior, where it meets log 0 as NaN."""
+    prior = np.array([0.0, 0.2, 0.3, 0.5])
+
+    def update(p, loglik):
+        p, loglik = np.asarray(p, dtype=float), np.asarray(loglik, dtype=float)
+        if stacked:
+            p, loglik = np.stack([p, np.full(4, 0.25)]), np.stack([loglik, np.zeros(4)])
+        with np.errstate(invalid="ignore"):
+            probs, fallback = mode_posterior_update_log(p, loglik)
+        return (probs[0], fallback[0]) if stacked else (probs, fallback)
+
+    for p in (prior, np.full(4, 0.25)):
+        with pytest.raises(NumericalError, match="NaN log-likelihood"):
+            update(p, [0.0, np.nan, 1.0, 2.0])
+    with pytest.raises(NumericalError, match="NaN log-likelihood"):
+        mode_posterior_update_log(np.full(4, 0.25), [0.0, np.nan, 1.0])
+    for p, inf_at in ((prior, 0), (prior, 2), (np.full(4, 0.25), 1)):
+        loglik = np.zeros(4)
+        loglik[inf_at] = np.inf
+        probs, fallback = update(p, loglik)
+        assert fallback and np.array_equal(probs, p)
+    probs, fallback = update(prior, [-np.inf, 0.0, -1.0, -np.inf])
+    assert not fallback and probs[0] == probs[3] == 0.0
+
+
 def test_posterior_update_log_domain_survives_extreme_values(cstr_chain):
     loglik = np.array([-50000.0, -50001.0, -50010.0, -50100.0])
     probs, fallback = mode_posterior_update_log(predict_prior(np.full(4, 0.25), cstr_chain), loglik)
@@ -466,6 +499,46 @@ def test_alg2_known_mode_consistency(cstr_plant, cstr_chain):
                            kf_predict(a_tab[j - 1], b_tab[j - 1], aug.Q, belief, u[k - 1]), y[k])
         assert np.array_equal(res.state, belief.mean)
         assert np.array_equal(est.belief.cov, belief.cov)
+
+
+def test_alg2_forced_step_equals_the_per_trial_recursion(cstr_plant, cstr_chain):
+    """An online alg2 step with ``force_mode=j`` gives, bit for bit, what the
+    per-trial alg2 step gave before the steps of a batch were stacked: the
+    likelihoods, posterior and fallback of its own recursion, mode j, and
+    the Kalman cycle on mode j's matrices, here written out from the public
+    kernels; the forced modes are wrong on every third step. The same
+    numbers agree with the candidate-by-candidate oracles."""
+    aug = build_augmented(cstr_plant, LossStrategy.HOLD)
+    a_tab, b_tab = aug.mode_tables
+    rng = np.random.default_rng(41)
+    steps = 30
+    thetas = rng.integers(1, 5, size=steps)
+    u = rng.normal(scale=10.0, size=(steps + 1, 2))
+    v = 0.05 * rng.standard_normal((steps + 1, 2))
+    y = simulate_state_space(aug, thetas, u, v, aug.initial_state([1, 1], [1, 1]))
+
+    est = Alg2Estimator(aug, cstr_chain, x0=np.zeros(4), P0=0.1 * np.eye(4))
+    probs, belief = np.full(4, 0.25), GaussianBelief(np.zeros(4), 0.1 * np.eye(4))
+    est.start(u[0], y[0])
+    for k in range(1, steps + 1):
+        j = int(thetas[k - 1]) if k % 3 else 5 - int(thetas[k - 1])
+        res = est.step(u[k], y[k], force_mode=j)
+
+        yhat, sigma = alg2_predict(aug, belief, u[k - 1])
+        chol = _cholesky(sigma)
+        loglik = _chol_logpdf(y[k] - yhat, chol, _log_det_half(chol))
+        expected = alg2_scores(aug, belief.mean, belief.cov, u[k - 1], y[k])
+        assert np.allclose(loglik, expected, rtol=1e-9, atol=1e-9)
+        probs, fallback = mode_posterior_update_log(predict_prior(probs, cstr_chain), loglik)
+        pred = kf_predict(a_tab[j - 1], b_tab[j - 1], aug.Q, belief, u[k - 1])
+        belief = floor_held_cov(kf_update(aug.C, aug.R, pred, y[k]), 2, DEFAULT_HELD_COV_FLOOR)
+
+        assert res.mode == j and type(res.mode) is int
+        assert res.fallback is fallback
+        for got, want in ((res.loglik, loglik), (res.posterior, probs), (res.state, belief.mean),
+                          (est.posterior, probs), (est.belief.mean, belief.mean),
+                          (est.belief.cov, belief.cov)):
+            assert np.array_equal(got, want), k
 
 
 @pytest.mark.parametrize("force_mode", [0, 5])

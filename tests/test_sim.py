@@ -77,17 +77,19 @@ def test_estimator_selection_is_checked(preset_trial, entry, names, message):
         run()
 
 
-@pytest.mark.parametrize("n_trials, n_jobs, message", [
-    (0, 1, "n_trials must be at least 1"),
-    (2, 0, "n_jobs must be at least 1"),
-    (2, -3, "n_jobs must be at least 1"),
-], ids=["no-trials", "no-jobs", "negative-jobs"])
-def test_monte_carlo_counts_are_checked(preset_trial, n_trials, n_jobs, message):
+@pytest.mark.parametrize("n_trials, n_jobs, names, message", [
+    (0, 1, ("alg1",), "n_trials must be at least 1"),
+    (2, 0, ("alg1",), "n_jobs must be at least 1"),
+    (2, -3, ("alg1",), "n_jobs must be at least 1"),
+    (2, 1, ("alg1", "kf"), "unknown estimator 'kf'"),
+], ids=["no-trials", "no-jobs", "negative-jobs", "unknown-name"])
+def test_monte_carlo_counts_are_checked(preset_trial, n_trials, n_jobs, names, message):
     """A Monte Carlo run refuses a trial or worker count below one instead
-    of running none, or silently one worker."""
+    of running none, or silently one worker, and an unknown estimator: the
+    call itself raises, before any record is asked for."""
     cfg = dataclasses.replace(preset_trial, steps=5)
     with pytest.raises(ValueError, match=message):
-        list(run_monte_carlo(cfg, n_trials, 1, ("alg1",), n_jobs=n_jobs))
+        run_monte_carlo(cfg, n_trials, 1, names, n_jobs=n_jobs)
 
 
 @pytest.mark.parametrize("signal, shape, message", [
@@ -523,13 +525,14 @@ def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial, mo
     _assert_late_failure_commits_nothing(cfg, fail_imms)
 
 
-def test_bank_step_commits_nothing_when_one_trials_estimator_fails(preset_trial):
-    """One trial's alg2 failing after the stacked cycle leaves every
-    estimator as it was, the other trial's and the batch's IMMs included."""
+def test_bank_step_commits_nothing_when_one_trials_estimator_fails(preset_trial, monkeypatch):
+    """The batch's alg2 step (both trials' alg2 estimators at once) failing
+    after the stacked cycle leaves every estimator as it was, both trials'
+    alg1 and the batch's IMMs, which run after it, included."""
     cfg = dataclasses.replace(preset_trial, steps=5)
 
     def fail_alg2(banks):
-        banks[1][1]._step = _late_failure(banks[1][1]._step)
+        monkeypatch.setattr(filters, "_alg2_step", _late_failure(filters._alg2_step))
 
     _assert_late_failure_commits_nothing(cfg, fail_alg2)
 
@@ -635,12 +638,15 @@ def test_monte_carlo_batches_equal_trials_run_alone(preset_trial, monkeypatch, b
     to simulate_trial's, and each batch's trials step in lockstep, one bank
     step per step: on cstr5 (a trial stacks 1 + 1 + 4 Kalman rows), on
     quad4's 16 modes under the zero strategy (1 + 1 + 16 rows) and on cstr5
-    with an unreachable mode."""
+    with an unreachable mode; with all three estimators, with alg2 alone
+    and with alg2 and imm."""
     base = dataclasses.replace(preset_trial, steps=steps)
     quad4 = dataclasses.replace(load_config(str(QUAD4)).trial, steps=steps)
     unreachable = dataclasses.replace(base, chain=_unreachable_mode_chain(base.chain))
-    for cfg in (base, quad4, unreachable):
-        monkeypatch.setattr(sim, "MAX_CYCLE_ROWS", (2 + cfg.chain.s) * batch)
+    for cfg, names in itertools.product((base, quad4, unreachable),
+                                        (ESTIMATOR_KEYS, ("alg2",), ("alg2", "imm"))):
+        rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
+        monkeypatch.setattr(sim, "MAX_CYCLE_ROWS", rows * batch)
         calls = Counter()
         real = sim._bank_step
 
@@ -649,12 +655,51 @@ def test_monte_carlo_batches_equal_trials_run_alone(preset_trial, monkeypatch, b
             return real(banks, *args)
 
         monkeypatch.setattr(sim, "_bank_step", counted)
-        records = list(run_monte_carlo(cfg, n_trials, 55, ESTIMATOR_KEYS))
+        records = list(run_monte_carlo(cfg, n_trials, 55, names))
         sizes = [min(batch, n_trials - first) for first in range(0, n_trials, batch)]
         assert calls == Counter({size: steps * sizes.count(size) for size in set(sizes)})
         monkeypatch.undo()
         assert not any(rec.failed for rec in records)
-        _assert_monte_carlo_equals_alone(cfg, n_trials, 55, ESTIMATOR_KEYS, records)
+        _assert_monte_carlo_equals_alone(cfg, n_trials, 55, names, records)
+
+
+def test_lockstep_step_results_equal_each_trial_alone(preset_trial):
+    """Every StepResult of a lockstep batch, the posterior and the
+    log-likelihoods behind each decision included, and every final belief
+    equal, bit for bit, those of each trial's estimators stepped alone: on
+    cstr5, quad4 and the unreachable-mode chain, for 7 trials. A record
+    keeps only decisions and states, which a last-bit change in the
+    candidate scores rarely moves."""
+    unreachable = dataclasses.replace(preset_trial,
+                                      chain=_unreachable_mode_chain(preset_trial.chain))
+    for cfg in (preset_trial, load_config(str(QUAD4)).trial, unreachable):
+        cfg = dataclasses.replace(cfg, steps=10)
+        recs = [simulate_trial(dataclasses.replace(cfg, seed=seed), ()) for seed in range(7)]
+        aug = sim.build_augmented(cfg.plant, cfg.strategy)
+        arma = sim.ss_to_arma(cfg.plant)
+        floor = filters.DEFAULT_HELD_COV_FLOOR
+
+        def build():
+            return [tuple(sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, floor, arma).values())
+                    for _ in recs]
+
+        banks, alone = build(), build()
+        for bank, lone_bank, rec in zip(banks, alone, recs):
+            for est in bank + lone_bank:
+                est.start(rec.u[0], rec.y[0])
+        for k in range(1, cfg.steps + 1):
+            results = _bank_step(banks, aug, floor, [rec.u[k] for rec in recs],
+                                 [rec.y[k] for rec in recs])
+            for bank_results, lone_bank, rec in zip(results, alone, recs):
+                for got, est in zip(bank_results, lone_bank, strict=True):
+                    want = est.step(rec.u[k], rec.y[k])
+                    assert (got.mode, got.fallback) == (want.mode, want.fallback), est.key
+                    for field in ("state", "posterior", "loglik"):
+                        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+        for bank, lone_bank in zip(banks, alone):
+            for est, lone in zip(bank, lone_bank):
+                for got, want in zip(_final_beliefs(est), _final_beliefs(lone), strict=True):
+                    assert np.array_equal(got, want), est.key
 
 
 def test_monte_carlo_batch_size_follows_the_row_bound(preset_trial, monkeypatch):
@@ -675,7 +720,8 @@ def test_monte_carlo_batch_size_follows_the_row_bound(preset_trial, monkeypatch)
     assert batches == [all_three, 5, imm_alone, 1, 3]
 
 
-@pytest.mark.parametrize("names", [ESTIMATOR_KEYS, ("imm", "alg2", "alg1")], ids="-".join)
+@pytest.mark.parametrize(
+    "names", [ESTIMATOR_KEYS, ("imm", "alg2", "alg1"), ("alg2",), ("alg2", "imm")], ids="-".join)
 def test_batch_with_failing_trials_equals_trials_run_alone(preset_trial, names):
     """Trials that fail in a batch (a 1e308 input row that overflows the
     plant, a NaN input row) fail as they do alone, with the same step,

@@ -60,10 +60,11 @@ def test_traced_trial_scores_candidates_once_per_step():
 
 def test_traced_monte_carlo_runs_one_cycle_per_step():
     """A Monte Carlo batch steps its trials in lockstep: each step runs one
-    Kalman cycle for all trials' banks and one IMM recursion for all their
-    IMMs (one prior prediction and one posterior update), while alg1 and
-    alg2 still score their candidates and predict their prior once per
-    trial; the models are built once per batch."""
+    Kalman cycle for all trials' banks, one alg2 recursion for all their
+    alg2 estimators and one IMM recursion for all their IMMs (each one
+    prior prediction and one posterior update), while alg1 still scores its
+    candidates and predicts its prior once per trial; the models are built
+    once per batch."""
     steps, trials = 5, 4
     cfg = dataclasses.replace(load_config("cstr5").trial, steps=steps)
     records, _, names = _traced(lambda: list(run_monte_carlo(cfg, trials, 9, ESTIMATOR_KEYS)))
@@ -71,8 +72,8 @@ def test_traced_monte_carlo_runs_one_cycle_per_step():
 
     totals = Counter(names)
     assert totals["filters.kf_predict"] == totals["filters.kf_update"] == steps
-    for fn in ("alg1_predict_output", "alg2_predict"):
-        assert totals[f"filters.{fn}"] == trials * steps, fn
+    assert totals["filters.alg1_predict_output"] == trials * steps
+    assert totals["filters.alg2_predict"] == steps
     assert totals["model.build_augmented"] == 1
     assert totals["model.ss_to_arma"] == 1
     assert totals["model.mode_tables"] == 1
@@ -81,12 +82,18 @@ def test_traced_monte_carlo_runs_one_cycle_per_step():
     for key in ESTIMATOR_KEYS:
         assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == trials
         assert totals[f"filters.{key}.step"] == 0
-    assert totals["markov.predict_prior"] == 2 * trials * steps + steps
-    _, _, imm_names = _traced(lambda: list(run_monte_carlo(cfg, trials, 9, ("imm",))))
-    imm_totals = Counter(imm_names)
-    for fn in ("markov.predict_prior", "filters.mode_posterior_update_log",
-               "filters.kf_predict", "filters.kf_update"):
-        assert imm_totals[fn] == steps, fn
+    assert totals["markov.predict_prior"] == trials * steps + 2 * steps
+    expected = {
+        "alg2": ("filters.alg2_predict", "markov.predict_prior",
+                 "filters.mode_posterior_update_log", "filters.kf_predict", "filters.kf_update"),
+        "imm": ("markov.predict_prior", "filters.mode_posterior_update_log",
+                "filters.kf_predict", "filters.kf_update"),
+    }
+    for key, fns in expected.items():
+        _, _, key_names = _traced(lambda: list(run_monte_carlo(cfg, trials, 9, (key,))))
+        key_totals = Counter(key_names)
+        for fn in fns:
+            assert key_totals[fn] == steps, (key, fn)
 
 
 def test_traced_online_step_scores_candidates_once():
