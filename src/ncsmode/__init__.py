@@ -20,7 +20,6 @@ from .filters import (
     alg1_predict_output,
     alg2_predict,
     floor_held_cov,
-    gaussian_logpdf,
     kf_predict,
     kf_update,
     mode_argmax,
@@ -67,7 +66,7 @@ __all__ = [
     "sample_next", "stationary_distribution",
     # filters
     "NumericalError", "GaussianBelief", "StepResult",
-    "kf_predict", "kf_update", "gaussian_logpdf",
+    "kf_predict", "kf_update",
     "mode_posterior_update_log", "mode_argmax",
     "alg1_const_sigma", "alg1_predict_output", "alg2_predict",
     "Alg1Estimator", "Alg2Estimator", "ImmEstimator",

@@ -150,16 +150,7 @@ def cstr5_config() -> dict:
         "input": {"std": [10.0, 10.0]},
         "x0": [1.0, 1.0],
         "u_init_applied": [1.0, 1.0],
-        "estimator_init": {
-            "x0": [0.0, 0.0, 0.0, 0.0],
-            "P0": [
-                [0.1, 0.0, 0.0, 0.0],
-                [0.0, 0.1, 0.0, 0.0],
-                [0.0, 0.0, 0.1, 0.0],
-                [0.0, 0.0, 0.0, 0.1],
-            ],
-            "prior": [0.25, 0.25, 0.25, 0.25],
-        },
+        "estimator_init": {"prior": [0.25, 0.25, 0.25, 0.25]},
         "estimators": ["alg1", "alg2", "imm"],
     }
     return {key: preset.get(key, default) for key, _, default, _ in _FIELDS}
@@ -520,34 +511,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fit_est_init(est_x0: np.ndarray, est_P0: np.ndarray, dim: int):
-    """Resize estimator initials when a strategy override changes the state dim."""
-    k = min(est_x0.shape[0], dim)
-    x0 = np.zeros(dim)
-    x0[:k] = est_x0[:k]
-    p0 = (float(np.mean(np.diag(est_P0))) if est_P0.size else 0.1) * np.eye(dim)
-    p0[:k, :k] = est_P0[:k, :k]
-    return x0, p0
-
-
 def _with_flags(data, args):
     """The config data with each given flag's value on its key, so that a
-    flag is checked as its key is. A strategy flag that changes the strategy
-    also resizes the estimator initials, which fit the config's own one."""
+    flag is checked as its key is."""
     if not isinstance(data, dict):
         return data  # config_from_dict rejects it
     flags = {key: value for key, value in vars(args).items() if key in _ROWS and value is not None}
     for key in flags.keys() & data.keys():  # a replaced value must still be well-formed
         _read(data, *_ROWS[key][:3])
-    flagged = {**data, **flags}
-    strategy = data.get("strategy", _ROWS["strategy"][2])
-    if flags.get("strategy", strategy) != strategy:
-        trial = config_from_dict({**flagged, "strategy": strategy}).trial
-        dim = AugmentedModel(trial.plant, LossStrategy(flags["strategy"])).state_dim
-        x0, p0 = _fit_est_init(trial.est_x0, trial.est_P0, dim)
-        init = data.get("estimator_init") or {}
-        flagged["estimator_init"] = {**init, "x0": x0.tolist(), "P0": p0.tolist()}
-    return flagged
+    return {**data, **flags}
 
 
 def main(argv=None) -> int:

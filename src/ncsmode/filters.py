@@ -22,18 +22,18 @@ the mode tables ``A(j)``, ``B(j)`` are (s, d, d) and (s, d, r), candidate
 output predictions (s, m) with covariances (s, m, m), and the IMM bank's
 beliefs (s, d) means with (s, d, d) covariances. The Kalman kernels
 (``kf_predict``, ``kf_update``, ``floor_held_cov``) and ``GaussianBelief``
-broadcast over such leading axes. Estimators stepped together form a bank,
-and the banks of a batch of trials step in lockstep: one Kalman cycle per
-step runs on the stacked rows of all of them, the decided mode of ``alg1``
-and of ``alg2`` and the s filters of ``imm`` of every trial, each row with
-its trial's input and measurement (``_bank_step``). The ``alg2`` estimators
-and the IMMs of a batch of T trials each step as one recursion over (T, s)
-stacks (``_alg2_step``, ``_imm_step``), for which ``alg2_predict``,
-``predict_prior``, ``mode_posterior_update_log`` and ``mode_argmax`` take
-a leading trial axis; ``alg1`` steps per trial. Every stacked product and
-reduction gives each trial's row what that trial gives alone, bit for bit.
-An estimator's own ``step`` runs the same recursion for one trial with its
-own Kalman cycle (``_lone_step``).
+broadcast over such leading axes. Each estimator decides a mode, then runs
+one Kalman cycle (``_cycle``: predict, innovation covariance, update,
+held-input floor) on the mode-table rows its decision selects: the decided
+mode for ``alg1`` and ``alg2``, all s filters for ``imm``. The banks of
+estimators of a batch of trials step in lockstep, one ``_cycle`` per step
+on the stacked rows of all of them, each with its trial's signals
+(``_bank_step``); an estimator's own ``step`` runs ``_cycle`` on its rows
+alone (``_lone_step``). The ``alg2`` estimators and the IMMs of a batch of
+T trials each step as one recursion over (T, s) stacks (``_alg2_step``,
+``_imm_step``), for which ``alg2_predict``, ``predict_prior``,
+``mode_posterior_update_log`` and ``mode_argmax`` take a leading trial
+axis; ``alg1`` steps per trial. Each trial gets, bit for bit, what it gets alone.
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -86,7 +86,6 @@ __all__ = [
     "kf_predict",
     "kf_update",
     "floor_held_cov",
-    "gaussian_logpdf",
     "mode_posterior_update_log",
     "mode_argmax",
     "alg1_const_sigma",
@@ -270,16 +269,6 @@ def _chol_logpdf(diff: np.ndarray, chol: np.ndarray, log_det_half):
     return -0.5 * (diff.shape[-1] * LOG_2PI + maha) - log_det_half
 
 
-def gaussian_logpdf(y, yhat, sigma) -> float:
-    """Log density of N(yhat, sigma) at y, via Cholesky (no explicit inverse)."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    yhat = np.asarray(yhat, dtype=float).reshape(-1)
-    sigma = np.asarray(sigma, dtype=float)
-    _require_finite("gaussian_logpdf inputs", y, yhat, sigma)
-    chol = _cholesky(sigma)
-    return float(_chol_logpdf(y - yhat, chol, _log_det_half(chol)))
-
-
 def mode_posterior_update_log(prior, loglik) -> tuple[np.ndarray, bool | np.ndarray]:
     """Recursive posterior update from log-likelihoods.
 
@@ -459,13 +448,13 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
     the (B, r) inputs ``us`` and of the (B, m) outputs ``ys``, and all share
     one augmented model ``aug``, mode chain and held-input floor. All the
     rows are checked finite at once: a non-finite one raises, naming no
-    trial. Then every estimator decides, one Kalman cycle runs on the
-    stacked mode-table rows they ask for (the decided mode of ``alg1`` and
-    ``alg2``, the s mixed filters of ``imm``) with each row's own previous
-    input and measurement, and every estimator commits. ``alg1`` steps bank
-    by bank; the ``alg2`` estimators of all the banks step together
-    (``_alg2_step``), and so do their IMMs (``_imm_step``). Each such step
-    is a generator:
+    trial. Then every estimator decides, one Kalman cycle (``_cycle``) runs
+    on the stacked mode-table rows they ask for (the decided mode of
+    ``alg1`` and ``alg2``, the s mixed filters of ``imm``) with each row's
+    own previous input and measurement, and every estimator commits.
+    ``alg1`` steps bank by bank; the ``alg2`` estimators of all the banks
+    step together (``_alg2_step``), and so do their IMMs (``_imm_step``).
+    Each such step is a generator:
 
     1. up to its first yield it decides, committing nothing, and yields
        ``(rows, belief, u_prev, y)``: None (a mode-only ``alg1``), or its
@@ -473,16 +462,16 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
        axes (one row of a (d,) belief for ``alg1``, (T,) rows of (T, d)
        beliefs for ``alg2``, (T, s) rows of (T, s, d) beliefs for ``imm``),
        with (u_prev, y) that broadcast over those axes;
-    2. it is sent its rows' predicted means and innovation covariances
-       C P C^T + R, shaped like its rows (None without rows);
-    3. it is sent its rows' updated and floored belief, finishes everything
-       that can raise and yields the StepResults of its estimators;
-    4. resumed once more, it commits.
+    2. it is sent its rows of the cycle's ``(pred_mean, innov_cov,
+       upd_mean, upd_cov)``, shaped like its rows (None without rows),
+       finishes everything that can raise and yields the StepResults of
+       its estimators;
+    3. resumed once more, it commits.
 
-    No estimator commits before every one of the batch has reached phase 3,
-    so a step that raises leaves every bank as it was. An estimator's own
-    ``step`` runs the same generator, for a batch of one, through
-    ``_lone_step``.
+    No estimator commits before every one of the batch has yielded its
+    results, so a step that raises leaves every bank as it was. An
+    estimator's own ``step`` runs the same generator, for a batch of one,
+    through ``_lone_step``.
     """
     _require_finite("step inputs", us, ys)
     steps, batched = [], {"alg2": [], "imm": []}
@@ -509,24 +498,28 @@ def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
         blocks.append((rows.reshape(size), belief.mean.reshape(size, d),
                        belief.cov.reshape(size, d, d), _flat(u_prev, lead, size),
                        _flat(y, lead, size)))
-    pred = upd = innov = None
     if blocks:
         rows, mean, cov, u_prev, y = (np.concatenate(arrays) for arrays in zip(*blocks))
-        a_tab, b_tab = aug.mode_tables
-        pred = kf_predict(a_tab.take(rows, 0), b_tab.take(rows, 0), aug.Q,
-                          GaussianBelief._of(mean, cov), u_prev)
-        innov = _innovation(aug.C, aug.R, pred.cov)
-    for (_, step), part in zip(steps, parts):
-        step.send(None if part is None else _rows(part, pred.mean, innov[1]))
-    if pred is not None:
-        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y, innov), aug.plant.n, floor)
+        cycle = _cycle(aug, floor, rows, GaussianBelief._of(mean, cov), u_prev, y)
     results = {}
     for (ests, step), part in zip(steps, parts):
-        belief = None if part is None else GaussianBelief._of(*_rows(part, upd.mean, upd.cov))
-        results.update(zip(ests, step.send(belief)))
+        results.update(zip(ests, step.send(None if part is None else _rows(part, *cycle))))
     for _, step in steps:
         next(step, None)
     return [[results[est] for est in bank] for bank in banks]
+
+
+def _cycle(aug, floor, rows, belief, u_prev, y):
+    """One Kalman cycle of beliefs on their mode-table ``rows`` (an int or
+    int array shaped like the beliefs' leading axes) with their previous
+    inputs and measurements: returns the predicted means, the innovation
+    covariances C P C^T + R, and the updated means and covariances with
+    held-input variances floored."""
+    a_tab, b_tab = aug.mode_tables
+    pred = kf_predict(a_tab[rows], b_tab[rows], aug.Q, belief, u_prev)
+    innov = _innovation(aug.C, aug.R, pred.cov)
+    upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y, innov), aug.plant.n, floor)
+    return pred.mean, innov[1], upd.mean, upd.cov
 
 
 def _flat(signal: np.ndarray, lead: tuple, size: int) -> np.ndarray:
@@ -549,16 +542,7 @@ def _lone_step(step, aug, floor) -> list[StepResult]:
     Kalman cycle: its rows of the mode tables are picked from the tables
     and nothing is stacked with other estimators."""
     rows, belief, u_prev, y = next(step)
-    upd = None
-    if rows is None:
-        step.send(None)
-    else:
-        a_tab, b_tab = aug.mode_tables
-        pred = kf_predict(a_tab[rows], b_tab[rows], aug.Q, belief, u_prev)
-        innov = _innovation(aug.C, aug.R, pred.cov)
-        step.send((pred.mean, innov[1]))
-        upd = floor_held_cov(kf_update(aug.C, aug.R, pred, y, innov), aug.plant.n, floor)
-    results = step.send(upd)
+    results = step.send(None if rows is None else _cycle(aug, floor, rows, belief, u_prev, y))
     next(step, None)
     return results
 
@@ -588,14 +572,12 @@ def _alg2_step(aug, ests, us, ys, force_mode=None):
     probs, fallback = mode_posterior_update_log(predict_prior(prior, ests[0]._P), loglik)
     mode = mode_argmax(probs) if force_mode is None else force_mode
 
-    yield mode - 1, belief, last_u, y
-    upd = yield
+    _, _, mean, cov = yield mode - 1, belief, last_u, y
     yield [StepResult(int(j), state, p.copy(), ll, bool(flag)) for j, state, p, ll, flag
-           in zip(rows(mode), rows(upd.mean), rows(probs), rows(loglik), rows(fallback))]
+           in zip(rows(mode), rows(mean), rows(probs), rows(loglik), rows(fallback))]
 
-    beliefs = [upd] if len(ests) == 1 else map(GaussianBelief._of, upd.mean, upd.cov)
-    for est, u, p, new in zip(ests, us, rows(probs), beliefs):
-        est._probs, est._belief, est._last_u = p, new, u
+    for est, u, p, new_mean, new_cov in zip(ests, us, rows(probs), rows(mean), rows(cov)):
+        est._probs, est._belief, est._last_u = p, GaussianBelief._of(new_mean, new_cov), u
 
 
 def _imm_step(aug, imms, us, ys):
@@ -626,20 +608,18 @@ def _imm_step(aug, imms, us, ys):
     if len(imms) > 1:
         table_rows = np.broadcast_to(table_rows, prior.shape)
 
-    pred_mean, innov_cov = yield table_rows, mixed, last_u, y
+    pred_mean, innov_cov, upd_mean, upd_cov = yield table_rows, mixed, last_u, y
     chol = _cholesky(0.5 * (innov_cov + _t(innov_cov)))
     loglik = _chol_logpdf(y - _mv(aug.C, pred_mean), chol, _log_det_half(chol))
-
-    upd = yield
     mu, fallback = mode_posterior_update_log(prior, loglik)
-    combined = _moment_match(mu[..., None, :], upd.mean, upd.cov)
+    combined = _moment_match(mu[..., None, :], upd_mean, upd_cov)
     states, state_covs = rows(combined.mean[..., 0, :]), rows(combined.cov[..., 0, :, :])
     yield [StepResult(int(mode), state, probs.copy(), ll, bool(flag))
            for mode, state, probs, ll, flag
            in zip(rows(mode_argmax(mu)), states, rows(mu), rows(loglik), rows(fallback))]
 
     for imm, means, covs, probs, u, state, state_cov in zip(
-        imms, rows(upd.mean), rows(upd.cov), rows(mu), us, states, state_covs
+        imms, rows(upd_mean), rows(upd_cov), rows(mu), us, states, state_covs
     ):
         imm._means, imm._covs, imm._mu, imm._last_u = means, covs, probs, u
         imm._combined = state, state_cov
@@ -767,10 +747,9 @@ class Alg1Estimator:
                 alpha = self.space.flags[memory_mode - 1]
                 uhat = alpha * self._u_hist[0] + (1.0 - alpha) * self._uhat_hist[0]
 
-        yield (None if self._kf is None else mode - 1), self._belief, self._u_hist[0], y
-        belief = yield
+        cycle = yield (None if self._kf is None else mode - 1), self._belief, self._u_hist[0], y
         yield [StepResult(
-            mode, None if belief is None else belief.mean, probs.copy(), loglik, fallback
+            mode, None if cycle is None else cycle[2], probs.copy(), loglik, fallback
         )]
 
         self._probs = probs
@@ -778,8 +757,8 @@ class Alg1Estimator:
             self._uhat_hist.appendleft(uhat)
         if self.arma.p > 1:
             self._mode_hist.appendleft(memory_mode)
-        if belief is not None:
-            self._belief = belief
+        if cycle is not None:
+            self._belief = GaussianBelief._of(cycle[2], cycle[3])
         self._y_hist.appendleft(y)
         self._u_hist.appendleft(u)
 

@@ -160,6 +160,8 @@ class TrialConfig:
             _check_distribution(prior, "est_prior")
         if self.initial_mode is not None and not 1 <= self.initial_mode <= self.chain.s:
             raise ValueError(f"initial_mode {self.initial_mode} outside 1..{self.chain.s}")
+        if self.x0_std < 0.0:
+            raise ValueError("x0_std must be nonnegative")
         if self.held_cov_floor is not None and self.held_cov_floor < 0.0:
             raise ValueError("held_cov_floor must be nonnegative")
         for name, val in (

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ncsmode.cli import (
-    _fit_est_init,
     config_from_dict,
     config_to_dict,
     cstr5_config,
@@ -19,6 +18,31 @@ from ncsmode.cli import (
 from conftest import BENCHMARK_TRANSITION
 
 QUAD4_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "quad4.json"
+
+
+def test_preset_config_is_unchanged():
+    """The preset's full config, every default filled in, as literals (the
+    chain is the exact Kronecker product of the link rows)."""
+    eye4 = [[0.1 if i == j else 0.0 for j in range(4)] for i in range(4)]
+    assert config_to_dict(load_config("cstr5")) == {
+        "plant": {"A": [[-0.8882, -0.0097], [293.8556, 2.2973]],
+                  "B": [[0.011, -0.0014], [-0.3602, 0.4732]],
+                  "C": [[1.0, 0.0], [0.0, 1.0]], "Q": [[0.0, 0.0], [0.0, 0.0]],
+                  "R": [[0.0025, 0.0], [0.0, 0.0025]]},
+        "arma": None, "strategy": "hold",
+        "chain": {"matrix": [
+            [0.6400000000000001, 0.16000000000000003, 0.16000000000000003, 0.04000000000000001],
+            [0.32000000000000006, 0.48, 0.08000000000000002, 0.12],
+            [0.32000000000000006, 0.08000000000000002, 0.48, 0.12],
+            [0.16000000000000003, 0.24, 0.24, 0.36]]},
+        "steps": 100, "input": {"std": [10.0, 10.0]}, "x0": [1.0, 1.0],
+        "u_init_applied": [1.0, 1.0], "initial_mode": None, "resample_x0": False,
+        "x0_std": 1.0, "held_cov_floor": None,
+        "estimator_init": {"x0": [0.0, 0.0, 0.0, 0.0], "P0": eye4,
+                           "prior": [0.25, 0.25, 0.25, 0.25]},
+        "estimators": ["alg1", "alg2", "imm"], "trials": 100, "seed": None,
+        "out": "results", "emit_steps": False, "hist_bin_width": 2.0,
+    }
 
 
 def test_preset_reproduces_benchmark_constants():
@@ -225,32 +249,21 @@ def test_config_values_of_the_right_type_load():
     assert cfg.trial.resample_x0 and cfg.emit_steps
 
 
-def test_fit_est_init_resizes_for_a_strategy_override():
-    x0 = np.array([1.0, 2.0, 3.0, 4.0])
-    p0 = np.arange(16.0).reshape(4, 4)
-    x2, p2 = _fit_est_init(x0, p0, 2)
-    assert np.array_equal(x2, [1.0, 2.0])
-    assert np.array_equal(p2, p0[:2, :2])
-
-    small = np.array([[0.2, 0.05], [0.05, 0.4]])
-    x4, p4 = _fit_est_init(np.array([1.0, 2.0]), small, 4)
-    assert np.array_equal(x4, [1.0, 2.0, 0.0, 0.0])
-    fill = np.mean(np.diag(small))
-    expected = np.diag([0.0, 0.0, fill, fill])
-    expected[:2, :2] = small
-    assert np.array_equal(p4, expected)
-
-
-def test_strategy_override_from_zero_to_hold(tmp_path):
-    """The hold-to-zero direction runs in the estimator-subset test above."""
+def test_strategy_override_from_zero_to_hold(tmp_path, capsys):
+    """A strategy flag does not resize explicit estimator initials: those
+    that fit the config's own strategy are refused at load for the other.
+    The hold-to-zero direction of the preset, whose initials are the
+    defaults, runs in the estimator-subset test above."""
     data = cstr5_config()
     data["strategy"] = "zero"
     data["estimator_init"] = {"x0": [0.0, 0.0], "P0": [[0.1, 0.0], [0.0, 0.2]]}
     path = tmp_path / "zero.json"
     path.write_text(json.dumps(data))
     args = ["run", "--config", str(path), "--strategy", "hold", "--trials", "3",
-            "--steps", "12", "--seed", "7", "--out", str(tmp_path)]
-    assert main(args) == 0
+            "--steps", "12", "--seed", "7", "--out", str(tmp_path / "out")]
+    assert main(args) == 2
+    assert "error: trial: est_x0 has length 2, expected 4" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_explicit_arma_section_is_used(tmp_path):
@@ -424,12 +437,34 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, edit, message):
     field, before any trial runs."""
     data = cstr5_config()
     edit(data)
+    text = _assert_refused_at_load(tmp_path, capsys, data, message)
+    assert "NaN" in text or "Infinity" in text
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda d: d["input"].update(std=[10.0, -1.0]), "trial: input_std must be nonnegative"),
+     (lambda d: d.update(held_cov_floor=-0.1), "trial: held_cov_floor must be nonnegative"),
+     (lambda d: d.update(resample_x0=True, x0_std=-2.0), "trial: x0_std must be nonnegative")],
+    ids=["input.std", "held_cov_floor", "x0_std"],
+)
+def test_negative_scales_exit_2(tmp_path, capsys, edit, message):
+    """A negative input std, held-input variance floor or initial-state std
+    is rejected at load, naming the field, before any trial runs."""
+    data = cstr5_config()
+    edit(data)
+    _assert_refused_at_load(tmp_path, capsys, data, message)
+
+
+def _assert_refused_at_load(tmp_path, capsys, data, message) -> str:
+    """Run config ``data`` from a file: it exits 2 with ``message`` and
+    writes no output. Returns the file's text."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
-    assert "NaN" in path.read_text() or "Infinity" in path.read_text()
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    return path.read_text()
 
 
 @pytest.mark.parametrize("width", ["0", "-1", "150", "nan"])
@@ -510,11 +545,8 @@ def _hold_to_zero(data):
 
 def _zero_to_hold(data):
     data["strategy"] = "zero"
-    data["estimator_init"] = {"x0": [0.5, 1.0], "P0": [[0.1, 0.0], [0.0, 0.2]]}
-    return {"strategy": "hold", "estimator_init": {
-        "x0": [0.5, 1.0, 0.0, 0.0],
-        "P0": [[0.1, 0.0, 0.0, 0.0], [0.0, 0.2, 0.0, 0.0],
-               [0.0, 0.0, 0.15000000000000002, 0.0], [0.0, 0.0, 0.0, 0.15000000000000002]]}}
+    assert data["estimator_init"].keys() == {"prior"}  # default x0 and P0, which fit
+    return {"strategy": "hold"}
 
 
 @pytest.mark.parametrize(
@@ -530,8 +562,8 @@ def _zero_to_hold(data):
 )
 def test_flag_gives_the_config_of_its_key(monkeypatch, tmp_path, flags, keys):
     """A flag sets its config key: the config a run gets equals the one of
-    the file with that key written in. A strategy change resizes explicit
-    estimator initials: zeros pad x0, and their mean variance pads P0."""
+    the file with that key written in. A strategy change leaves default
+    estimator initials to fit the new strategy's state dimension."""
     import ncsmode.cli as cli
 
     data = cstr5_config()

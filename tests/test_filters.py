@@ -21,7 +21,6 @@ from ncsmode.filters import (
     alg1_predict_output,
     alg2_predict,
     floor_held_cov,
-    gaussian_logpdf,
     kf_predict,
     kf_update,
     mode_argmax,
@@ -153,14 +152,19 @@ def test_failure_contract(fail, error, message):
 # Gaussian densities
 # ---------------------------------------------------------------------------
 
+def _logpdf(diff, sigma) -> float:
+    """Log density of a residual under N(0, sigma), through the Cholesky
+    kernels the estimators score candidates with."""
+    chol = _cholesky(np.asarray(sigma, dtype=float))
+    return float(_chol_logpdf(np.asarray(diff, dtype=float), chol, _log_det_half(chol)))
+
+
 def test_gaussian_pdf_values():
     """The log density equals the log of the closed-form density."""
-    assert gaussian_logpdf([0.0], [0.0], [[1.0]]) == pytest.approx(
-        math.log(1 / math.sqrt(2 * math.pi)))
-    assert gaussian_logpdf([0.0, 0.0], [0.0, 0.0], np.eye(2)) == pytest.approx(
-        math.log(1 / (2 * math.pi)))
+    assert _logpdf([0.0], [[1.0]]) == pytest.approx(math.log(1 / math.sqrt(2 * math.pi)))
+    assert _logpdf([0.0, 0.0], np.eye(2)) == pytest.approx(math.log(1 / (2 * math.pi)))
     expected = math.exp(-0.5) / math.sqrt(8 * math.pi)
-    assert gaussian_logpdf([2.0], [0.0], [[4.0]]) == pytest.approx(math.log(expected))
+    assert _logpdf([2.0], [[4.0]]) == pytest.approx(math.log(expected))
     assert expected == pytest.approx(0.12099, abs=1e-5)
 
 
@@ -174,12 +178,12 @@ def test_gaussian_logpdf_consistent_with_pdf():
         sigma = sigma @ sigma.T + 0.5 * np.eye(2)
         pdf = math.exp(-0.5 * y @ np.linalg.inv(sigma) @ y) / (
             2 * math.pi * math.sqrt(np.linalg.det(sigma)))
-        assert gaussian_logpdf(y, np.zeros(2), sigma) == pytest.approx(math.log(pdf))
+        assert _logpdf(y, sigma) == pytest.approx(math.log(pdf))
 
 
 def test_gaussian_pdf_singular_sigma_errors():
     with pytest.raises(NumericalError, match=_exactly("covariance is not positive definite")):
-        gaussian_logpdf([0.0, 0.0], [0.0, 0.0], np.zeros((2, 2)))
+        _logpdf([0.0, 0.0], np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -481,7 +481,6 @@ def _late_failure(make_step):
     def step(*args):
         inner = make_step(*args)
         inner.send((yield next(inner)))
-        yield
         raise NumericalError("late failure")
     return step
 
