@@ -349,6 +349,12 @@ def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
+def _row_format(n_ints: int, n_reals: int) -> str:
+    """A CSV row of ints and then floats as one %-format: ``"%.17g" % x``
+    is ``_fmt(x)`` for a float x, and ``"%d" % i`` is ``str(i)`` for an int."""
+    return ",".join(["%d"] * n_ints + ["%.17g"] * n_reals)
+
+
 def _write_step_csv(path: Path, record: TrialRecord) -> None:
     names = record.estimators
     n = record.true_states.shape[1]
@@ -377,11 +383,9 @@ def _write_step_csv(path: Path, record: TrialRecord) -> None:
     flags = np.zeros(record.steps, dtype=int)
     for i, name in enumerate(names):
         flags |= record.fallbacks[name].astype(int) << i
-    for k, (mode_row, real_row, flag) in enumerate(
-        zip(modes.tolist(), reals.tolist(), flags.tolist()), start=1
-    ):
-        row = [str(k), *map(str, mode_row), *map(_fmt, real_row), str(flag)]
-        lines.append(",".join(row))
+    fmt = _row_format(1 + modes.shape[1], reals.shape[1]) + ",%d"
+    lines += [fmt % (k, *mode_row, *real_row, flag) for k, (mode_row, real_row, flag)
+              in enumerate(zip(modes.tolist(), reals.tolist(), flags.tolist()), start=1)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -395,8 +399,9 @@ def _write_series_csv(path: Path, record: TrialRecord, name: str) -> None:
     x, xh = record.true_states[1:], record.est_states[name]
     modes = np.column_stack([record.true_modes, record.est_modes[name]])
     reals = np.hstack([x, xh, x - xh])
-    for k, (mode_row, real_row) in enumerate(zip(modes.tolist(), reals.tolist()), start=1):
-        lines.append(",".join([str(k), *map(str, mode_row), *map(_fmt, real_row)]))
+    fmt = _row_format(3, reals.shape[1])
+    lines += [fmt % (k, *mode_row, *real_row) for k, (mode_row, real_row)
+              in enumerate(zip(modes.tolist(), reals.tolist()), start=1)]
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -33,7 +33,9 @@ alone (``_lone_step``). The ``alg2`` estimators and the IMMs of a batch of
 T trials each step as one recursion over (T, s) stacks (``_alg2_step``,
 ``_imm_step``), for which ``alg2_predict``, ``predict_prior``,
 ``mode_posterior_update_log`` and ``mode_argmax`` take a leading trial
-axis; ``alg1`` steps per trial. Each trial gets, bit for bit, what it gets alone.
+axis; ``alg1`` steps per trial, whitening by its constant factor inverted
+once. Each trial gets, bit for bit, what it gets alone. ``start`` checks
+the step-0 signals as ``step`` checks its own, and must come first.
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -423,8 +425,9 @@ def _initial_probs(prior, s: int) -> np.ndarray:
     return probs
 
 
-def _step_signals(est, u, y, m: int, force_mode=None):
-    """A step's (u, y) for estimator ``est`` as flat float vectors, checked to
+def _step_signals(est, u, y, m: int, force_mode=None, entry="step"):
+    """The (u, y) given to estimator ``est``'s ``entry`` (its ``step``, or its
+    ``start`` with the step-0 signals) as flat float vectors, checked to
     hold its r inputs and m outputs and to be finite; a forced mode must name
     one of its s modes."""
     space = est.space
@@ -433,10 +436,10 @@ def _step_signals(est, u, y, m: int, force_mode=None):
     u = np.asarray(u, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     if u.shape[0] != space.r:
-        raise ValueError(f"{est.key} step input u has {u.shape[0]} entries, expected {space.r}")
+        raise ValueError(f"{est.key} {entry} input u has {u.shape[0]} entries, expected {space.r}")
     if y.shape[0] != m:
-        raise ValueError(f"{est.key} step output y has {y.shape[0]} entries, expected {m}")
-    _require_finite(f"{est.key} step inputs", u, y)
+        raise ValueError(f"{est.key} {entry} output y has {y.shape[0]} entries, expected {m}")
+    _require_finite(f"{est.key} {entry} inputs", u, y)
     return u, y
 
 
@@ -671,12 +674,13 @@ class Alg1Estimator:
             math.inf if gate_pvalue is None else _chi2_upper_quantile(arma.m, gate_pvalue)
         )
 
-        self._chol = _cholesky(alg1_const_sigma(arma))
-        self._log_det_half = float(_log_det_half(self._chol))
+        chol = _cholesky(alg1_const_sigma(arma))
+        self._log_det_half = float(_log_det_half(chol))
+        self._white = _t(np.linalg.inv(chol))  # residual rows whiten as diff @ white
 
-        n, p, m, r = arma.n_ar, arma.p, arma.m, arma.r
-        self._y_hist: deque = deque([np.zeros(m)] * n, maxlen=max(n, 1))
-        self._u_hist: deque = deque([np.zeros(r)] * p, maxlen=max(p, 1))
+        p, r = arma.p, arma.r
+        self._y_hist: deque | None = None  # with _u_hist, set by start()
+        self._u_hist: deque | None = None
         self._uhat_hist: deque = deque([np.zeros(r)] * p, maxlen=max(p, 1))
         self._mode_hist: deque = deque([self.space.s] * (p - 1), maxlen=max(p - 1, 1))
 
@@ -696,9 +700,12 @@ class Alg1Estimator:
         return self._belief
 
     def start(self, u0, y0) -> None:
-        """Record the step-0 signals before the first estimation step."""
-        self._u_hist.appendleft(np.asarray(u0, dtype=float).reshape(-1))
-        self._y_hist.appendleft(np.asarray(y0, dtype=float).reshape(-1))
+        """Record the step-0 signals before the first estimation step; the
+        histories further back are zero."""
+        u0, y0 = _step_signals(self, u0, y0, self.arma.m, entry="start")
+        n, p = self.arma.n_ar, self.arma.p
+        self._y_hist = deque([y0] + [np.zeros_like(y0)] * (n - 1), maxlen=max(n, 1))
+        self._u_hist = deque([u0] + [np.zeros_like(u0)] * (p - 1), maxlen=max(p, 1))
 
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         """Estimate the previous step's mode from the newest output.
@@ -707,6 +714,8 @@ class Alg1Estimator:
         later), ``y`` the current measurement. ``force_mode`` substitutes an
         externally known mode for the argmax decision (diagnostics).
         """
+        if self._u_hist is None:
+            raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.arma.m, force_mode)
         return _lone_step(self._step(u, y, force_mode), self._kf, self._held_cov_floor)[0]
 
@@ -716,10 +725,11 @@ class Alg1Estimator:
             self.arma, self.strategy, self.space,
             self._y_hist, self._u_hist, self._uhat_hist, self._mode_hist,
         )
-        loglik = _chol_logpdf(y - yhat, self._chol, self._log_det_half)
-
-        best_d2 = -2.0 * (np.maximum.reduce(loglik) + self._log_det_half) - self.arma.m * LOG_2PI
-        gated = best_d2 > self._gate_d2
+        maha = np.add.reduce(np.square((y - yhat) @ self._white), axis=-1)  # squared distances
+        if not math.isfinite(np.maximum.reduce(maha)):  # NaN, or a residual too large to square
+            raise NumericalError("NaN log-likelihood")
+        loglik = -0.5 * (self.arma.m * LOG_2PI + maha) - self._log_det_half
+        gated = np.minimum.reduce(maha) > self._gate_d2
         prior = predict_prior(self._probs, self._P)
         if gated:
             probs, fallback = prior, True
@@ -801,7 +811,7 @@ class Alg2Estimator:
         return self._belief
 
     def start(self, u0, y0) -> None:
-        self._last_u = np.asarray(u0, dtype=float).reshape(-1)
+        self._last_u, _ = _step_signals(self, u0, y0, self.aug.plant.m, entry="start")
 
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         if self._last_u is None:
@@ -860,7 +870,7 @@ class ImmEstimator:
         return None if self._combined is None else GaussianBelief._of(*self._combined)
 
     def start(self, u0, y0) -> None:
-        self._last_u = np.asarray(u0, dtype=float).reshape(-1)
+        self._last_u, _ = _step_signals(self, u0, y0, self.aug.plant.m, entry="start")
 
     def step(self, u, y) -> StepResult:
         if self._last_u is None:

@@ -60,6 +60,10 @@ def histogram_edges(bin_width: float) -> np.ndarray:
     """Bin edges partitioning [0, 100] exactly, last bin closed at 100."""
     _check_bin_width(bin_width)
     edges = np.arange(0.0, 100.0, bin_width)
+    # a width of 100 / k can leave an edge at 100 or a rounding below it,
+    # which would close a bin of (nearly) zero width
+    if 100.0 - edges[-1] <= 1e-9 * bin_width:
+        edges = edges[:-1]
     return np.append(edges, 100.0)
 
 

@@ -7,7 +7,8 @@ on exactly the signals a controller would see: the issued inputs and the
 measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
 A Monte Carlo run splits its trials into batches, run in this process or
-by a pool of worker processes. A batch's banks step in lockstep, with one
+by a pool of worker processes. A batch draws its truths in lockstep, then
+its banks step in lockstep, with one
 stacked Kalman cycle per step for all of them, one ``alg2`` recursion for
 all their ``alg2`` estimators and one IMM recursion for all their IMMs
 (``alg1`` decides trial by trial); each record equals the one its trial
@@ -18,7 +19,7 @@ Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
 spawned from a ``numpy.random.SeedSequence`` over the trial seed, so a
 record is reproducible field-for-field regardless of which estimators run
-or how trials are scheduled. Monte Carlo trial t uses seed
+or how trials are batched and scheduled. Monte Carlo trial t uses seed
 ``base_seed XOR t`` (masked to 64 bits).
 """
 
@@ -38,7 +39,9 @@ from .filters import (
     ImmEstimator,
     NumericalError,
     _bank_step,
+    _mv,
 )
+# sample_next draws no truth, but the benchmark's tracer patches it here by name
 from .markov import TransitionMatrix, _check_distribution, sample_next, stationary_distribution
 from .model import (
     ArmaModel,
@@ -254,64 +257,57 @@ def _build_estimators(cfg: TrialConfig, names, aug, floor: float, arma) -> dict:
     return est
 
 
-def _simulate_truth(cfg: TrialConfig, aug):
-    """Draw the modes, noise and inputs and propagate the plant over all
-    steps; returns (true_modes, true_states, y, u, u_applied) aligned as in a
-    TrialRecord. Each stream is drawn in step order."""
-    plant = cfg.plant
+def _simulate_truths(configs, aug):
+    """Draw the modes, noise and inputs of a batch of trials (sharing the
+    plant, strategy, chain and steps of ``configs[0]``) and propagate their
+    plants in lockstep; returns (true_modes, true_states, y, u, u_applied)
+    stacked over the trials, each trial's aligned as in a TrialRecord. A
+    trial draws each of its streams in the order it does alone: the x0
+    resample before the process noise, the initial mode before the N - 1
+    uniforms of the next modes. A mode is the first bin [lo, hi) of its
+    predecessor's CDF row that holds its uniform. Products stack per-trial
+    matrix-vector products, so a trial's truth does not depend on its batch."""
+    cfg = configs[0]
+    plant, s, nsteps, n_trials = cfg.plant, cfg.chain.s, cfg.steps, len(configs)
     n, m, r = plant.n, plant.m, plant.r
-    nsteps = cfg.steps
 
-    seq = np.random.SeedSequence(cfg.seed)
-    mode_rng, w_rng, v_rng, u_rng = (np.random.default_rng(s) for s in seq.spawn(4))
-
-    x0 = cfg.x0
-    if cfg.resample_x0:
-        x0 = x0 + cfg.x0_std * w_rng.standard_normal(n)
-    state = aug.initial_state(x0, cfg.u_init_applied)
+    def search(cdf, draws):
+        return np.minimum(np.count_nonzero(cdf <= draws[..., None], axis=-1), s - 1) + 1
 
     # no draws for a zero noise covariance
-    chol_q = _psd_factor(plant.Q)
-    chol_r = _psd_factor(plant.R)
-    w = None if chol_q is None else [chol_q @ e for e in w_rng.standard_normal((nsteps, n))]
-    v = [np.zeros(m)] * (nsteps + 1) if chol_r is None else [
-        chol_r @ e for e in v_rng.standard_normal((nsteps + 1, m))]
-    if cfg.input_sequence is not None:
-        us = cfg.input_sequence.copy()
-    else:
-        us = cfg.input_std * u_rng.standard_normal((nsteps + 1, r))
-
-    if cfg.initial_mode is not None:
-        theta = cfg.initial_mode
-    else:
-        pi = stationary_distribution(cfg.chain)
-        cdf = np.cumsum(pi)
-        theta = min(int(np.searchsorted(cdf, mode_rng.random(), side="right")),
-                    cfg.chain.s - 1) + 1
-
-    true_modes = np.zeros(nsteps, dtype=int)
-    true_states = np.zeros((nsteps + 1, n))
-    ys = np.zeros((nsteps + 1, m))
-    u_applied = np.zeros((nsteps, r))
-    true_modes[0] = theta
-    true_states[0] = state[:n]
-    ys[0] = plant.C @ state[:n] + v[0]
-
-    a_tab, b_tab = aug.mode_tables
-    for k in range(1, nsteps + 1):
-        th_prev = true_modes[k - 1]
-        state = a_tab[th_prev - 1] @ state + b_tab[th_prev - 1] @ us[k - 1]
+    chol_q, chol_r = _psd_factor(plant.Q), _psd_factor(plant.R)
+    states = np.empty((n_trials, nsteps + 1, aug.state_dim))
+    w = None if chol_q is None else np.zeros(states[:, 1:].shape)
+    v, us = np.zeros((n_trials, nsteps + 1, m)), np.empty((n_trials, nsteps + 1, r))
+    modes, draws = np.empty((n_trials, nsteps), dtype=int), np.empty((n_trials, nsteps - 1))
+    pi_cdf = np.cumsum(stationary_distribution(cfg.chain))
+    for t, trial in enumerate(configs):
+        seq = np.random.SeedSequence(trial.seed)
+        mode_rng, w_rng, v_rng, u_rng = map(np.random.default_rng, seq.spawn(4))
+        x0 = trial.x0 + trial.x0_std * w_rng.standard_normal(n) if trial.resample_x0 else trial.x0
+        states[t, 0] = aug.initial_state(x0, trial.u_init_applied)
         if w is not None:
-            state = state + np.concatenate([w[k - 1], np.zeros(state.shape[0] - n)])
-        true_states[k] = state[:n]
-        if cfg.strategy is LossStrategy.HOLD:
-            u_applied[k - 1] = state[n:]
-        else:
-            u_applied[k - 1] = aug.space.flags[th_prev - 1] * us[k - 1]
-        if k < nsteps:
-            true_modes[k] = sample_next(cfg.chain, th_prev, mode_rng)
-        ys[k] = plant.C @ state[:n] + v[k]
-    return true_modes, true_states, ys, us, u_applied
+            w[t, :, :n] = _mv(chol_q, w_rng.standard_normal((nsteps, n)))
+        if chol_r is not None:
+            v[t] = _mv(chol_r, v_rng.standard_normal((nsteps + 1, m)))
+        us[t] = trial.input_sequence if trial.input_sequence is not None else (
+            trial.input_std * u_rng.standard_normal((nsteps + 1, r)))
+        modes[t, 0] = trial.initial_mode or search(pi_cdf, mode_rng.random(1))[0]
+        draws[t] = mode_rng.random(nsteps - 1)
+
+    cdfs = np.cumsum(cfg.chain.P, axis=1)
+    for k in range(1, nsteps):
+        modes[:, k] = search(cdfs[modes[:, k - 1] - 1], draws[:, k - 1])
+    a_tab, b_tab = aug.mode_tables
+    rows = modes - 1
+    inputs = _mv(b_tab[rows], us[:, :-1])
+    for k in range(1, nsteps + 1):
+        states[:, k] = _mv(a_tab[rows[:, k - 1]], states[:, k - 1]) + inputs[:, k - 1]
+        if w is not None:
+            states[:, k] += w[:, k - 1]
+    true_states, hold = states[..., :n].copy(), cfg.strategy is LossStrategy.HOLD
+    u_applied = states[:, 1:, n:].copy() if hold else aug.space.flags[rows] * us[:, :-1]
+    return modes, true_states, _mv(plant.C, true_states) + v, us, u_applied
 
 
 def _run_estimators(cfg: TrialConfig, names, aug, us, ys) -> list:
@@ -387,16 +383,15 @@ def _run_estimators(cfg: TrialConfig, names, aug, us, ys) -> list:
 
 def _simulate_trials(configs, names) -> list[TrialRecord]:
     """Records of trials whose configs differ only in their signals (the
-    seed, or the input and initial-state options): one augmented model, each
-    trial's truth, then all their estimators stepped in lockstep."""
+    seed, or the input and initial-state options): one augmented model, the
+    trials' truths drawn in lockstep, then all their estimators stepped in
+    lockstep."""
     cfg = configs[0]
     aug = build_augmented(cfg.plant, cfg.strategy)
-    truths = [_simulate_truth(trial, aug) for trial in configs]
-    estimates = _run_estimators(cfg, names, aug, np.stack([u for _, _, _, u, _ in truths]),
-                                np.stack([y for _, _, y, _, _ in truths]))
+    truths = _simulate_truths(configs, aug)
     records = []
-    for trial, truth, estimate in zip(configs, truths, estimates):
-        true_modes, true_states, y, u, u_applied = truth
+    for trial, true_modes, true_states, y, u, u_applied, estimate in zip(
+            configs, *truths, _run_estimators(cfg, names, aug, truths[3], truths[2])):
         est_modes, est_states, fallbacks, failure = estimate
         fail_step, fail_reason, _ = failure or (None, None, None)
         records.append(TrialRecord(

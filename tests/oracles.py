@@ -1,9 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately written as direct enumeration or direct
-recursion, sharing no code path with the implementations under test. The
-one exception, :func:`run_one_at_a_time`, steps the package's estimators one
-at a time, the reference for stepping them as one bank.
+recursion, sharing no code path with the implementations under test. Two
+exceptions are references for the package's batching: :func:`run_one_at_a_time`
+steps the package's estimators one at a time, the reference for stepping them
+as one bank, and :func:`simulate_truth` draws one trial's truth step by step,
+the reference for drawing a batch's truths in lockstep.
 """
 
 import math
@@ -17,6 +19,7 @@ from ncsmode.filters import (
     ImmEstimator,
     NumericalError,
 )
+from ncsmode.markov import sample_next, stationary_distribution
 from ncsmode.model import LossStrategy, build_augmented, ss_to_arma
 
 
@@ -285,3 +288,63 @@ def run_one_at_a_time(cfg, names, u, y):
             states[name][k - 1] = res.state[:n]
             fallbacks[name][k - 1] = res.fallback
     return estimators, modes, states, fallbacks, None
+
+
+# ---------------------------------------------------------------------------
+# A trial's truth, one trial and one step at a time: the package draws the
+# truths of a batch of trials in lockstep.
+# ---------------------------------------------------------------------------
+
+def _noise_factor(cov):
+    """The package's square root of a noise covariance (None when zero), so
+    that the draws scale to the same bits."""
+    if not cov.size or not np.any(cov):
+        return None
+    vals, vecs = np.linalg.eigh(cov)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def simulate_truth(cfg):
+    """One trial's (true_modes, true_states, y, u, u_applied), aligned as in a
+    TrialRecord: its four streams spawned from its seed (modes, process
+    noise, measurement noise, inputs), each drawn in step order, the modes
+    one ``markov.sample_next`` per step, and the plant propagated through
+    the mode tables one matrix-vector product at a time."""
+    plant, aug, steps = cfg.plant, build_augmented(cfg.plant, cfg.strategy), cfg.steps
+    n, m, r = plant.n, plant.m, plant.r
+    mode_rng, w_rng, v_rng, u_rng = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(cfg.seed).spawn(4))
+    x0 = cfg.x0 + cfg.x0_std * w_rng.standard_normal(n) if cfg.resample_x0 else cfg.x0
+    state = aug.initial_state(x0, cfg.u_init_applied)
+    chol_q, chol_r = _noise_factor(plant.Q), _noise_factor(plant.R)
+    w = None if chol_q is None else [chol_q @ e for e in w_rng.standard_normal((steps, n))]
+    v = [np.zeros(m)] * (steps + 1) if chol_r is None else [
+        chol_r @ e for e in v_rng.standard_normal((steps + 1, m))]
+    if cfg.input_sequence is not None:
+        u = cfg.input_sequence.copy()
+    else:
+        u = cfg.input_std * u_rng.standard_normal((steps + 1, r))
+    theta = cfg.initial_mode
+    if theta is None:
+        cdf = np.cumsum(stationary_distribution(cfg.chain))
+        theta = min(int(np.searchsorted(cdf, mode_rng.random(), side="right")),
+                    cfg.chain.s - 1) + 1
+
+    a_tab, b_tab = aug.mode_tables
+    modes, states = np.zeros(steps, dtype=int), np.zeros((steps + 1, n))
+    y, applied = np.zeros((steps + 1, m)), np.zeros((steps, r))
+    modes[0], states[0], y[0] = theta, state[:n], plant.C @ state[:n] + v[0]
+    for k in range(1, steps + 1):
+        prev = modes[k - 1]
+        state = a_tab[prev - 1] @ state + b_tab[prev - 1] @ u[k - 1]
+        if w is not None:
+            state = state + np.concatenate([w[k - 1], np.zeros(state.shape[0] - n)])
+        states[k] = state[:n]
+        if cfg.strategy is LossStrategy.HOLD:
+            applied[k - 1] = state[n:]
+        else:
+            applied[k - 1] = aug.space.flags[prev - 1] * u[k - 1]
+        if k < steps:
+            modes[k] = sample_next(cfg.chain, prev, mode_rng)
+        y[k] = plant.C @ state[:n] + v[k]
+    return modes, states, y, u, applied

@@ -560,26 +560,49 @@ def test_force_mode_outside_the_modes_rejected(cstr_plant, cstr_chain, force_mod
             est.step(np.ones(2), np.ones(2), force_mode=force_mode)
 
 
-@pytest.mark.parametrize("u, y, message", [
-    (np.ones(2), np.ones(1), "step output y has 1 entries, expected 2"),
-    (np.ones(1), np.ones(2), "step input u has 1 entries, expected 2"),
-    (np.ones(3), np.ones(2), "step input u has 3 entries, expected 2"),
-], ids=["y-short", "u-short", "u-long"])
-def test_step_signals_of_the_wrong_length_rejected(cstr_plant, cstr_chain, u, y, message):
-    """Each estimator's step takes the r = 2 issued inputs and the m = 2
-    measured outputs of the plant, and refuses a signal of another length,
-    naming it and the size expected."""
+def _cstr_bank(cstr_plant, cstr_chain):
+    """The three estimators of the cstr plant under the hold strategy."""
     aug = build_augmented(cstr_plant, LossStrategy.HOLD)
-    bank = [
+    return [
         Alg1Estimator(ss_to_arma(cstr_plant), LossStrategy.HOLD, cstr_chain, kf_model=aug,
                       kf_x0=np.zeros(4), kf_P0=0.1 * np.eye(4)),
         Alg2Estimator(aug, cstr_chain, x0=np.zeros(4), P0=0.1 * np.eye(4)),
         ImmEstimator(aug, cstr_chain, x0=np.zeros(4), P0=0.1 * np.eye(4)),
     ]
-    for est in bank:
-        est.start(np.ones(2), np.ones(2))
-        with pytest.raises(ValueError, match=_exactly(f"{est.key} {message}")):
-            est.step(u, y)
+
+
+@pytest.mark.parametrize("u, y, message", [
+    (np.ones(2), np.ones(1), "output y has 1 entries, expected 2"),
+    (np.ones(1), np.ones(2), "input u has 1 entries, expected 2"),
+    (np.ones(3), np.ones(2), "input u has 3 entries, expected 2"),
+], ids=["y-short", "u-short", "u-long"])
+def test_step_signals_of_the_wrong_length_rejected(cstr_plant, cstr_chain, u, y, message):
+    """Each estimator's start (the step-0 signals) and step take the r = 2
+    issued inputs and the m = 2 measured outputs of the plant, and refuse a
+    signal of another length, naming the entry point, the signal and the
+    size expected."""
+    for entry in ("start", "step"):
+        for est in _cstr_bank(cstr_plant, cstr_chain):
+            if entry == "step":
+                est.start(np.ones(2), np.ones(2))
+            with pytest.raises(ValueError, match=_exactly(f"{est.key} {entry} {message}")):
+                getattr(est, entry)(u, y)
+
+
+@pytest.mark.parametrize("u, y", [(np.array([np.nan, 1.0]), np.ones(2)),
+                                  (np.ones(2), np.array([1.0, np.inf]))], ids=["u-nan", "y-inf"])
+def test_start_refuses_non_finite_signals(cstr_plant, cstr_chain, u, y):
+    for est in _cstr_bank(cstr_plant, cstr_chain):
+        with pytest.raises(NumericalError, match=_exactly(f"non-finite values in {est.key} "
+                                                          "start inputs")):
+            est.start(u, y)
+
+
+def test_step_before_start_refused(cstr_plant, cstr_chain):
+    """No estimator steps on the zero histories it holds before start()."""
+    for est in _cstr_bank(cstr_plant, cstr_chain):
+        with pytest.raises(RuntimeError, match="call start"):
+            est.step(np.ones(2), np.ones(2))
 
 
 def test_alg1_mode_only_operation(cstr_plant, cstr_chain):
@@ -711,9 +734,10 @@ def _rel_close(actual, expected, tol=1e-9):
 )
 def test_batched_scoring_matches_per_candidate_reference(make_trial, seed):
     """From the same pre-step state, every estimator step reproduces the
-    candidate-by-candidate reference: identical mode decisions,
-    bit-identical alg1/alg2 likelihoods and states, and IMM within 1e-9
-    relative (its mixing and combination sums run in another order)."""
+    candidate-by-candidate reference: identical mode decisions and gates,
+    bit-identical alg2 likelihoods and alg1/alg2 states, alg1 likelihoods
+    within 1e-12 relative (it whitens by an inverted factor), and IMM within
+    1e-9 relative (its mixing and combination sums run in another order)."""
     cfg = make_trial(seed)
     rec = simulate_trial(cfg, ())
     aug = build_augmented(cfg.plant, cfg.strategy)
@@ -748,7 +772,11 @@ def test_batched_scoring_matches_per_candidate_reference(make_trial, seed):
             _, mode = bayes_decision(alg1.posterior, loglik, P)
         mean, cov = decided_cycle(alg1.belief, mode, alg1._u_hist[0], y)
         res = alg1.step(u, y)
-        assert np.array_equal(res.loglik, loglik)
+        # alg1 whitens by its inverted factor where the reference solves with
+        # it: log-likelihoods within 1e-12 relative to max(|l|, 1), and the
+        # gate and the decision exact
+        assert np.all(np.abs(res.loglik - loglik) <= 1e-12 * np.maximum(np.abs(loglik), 1.0))
+        assert res.fallback == (maha.min() > gate)  # finite scores: a fallback is a gated step
         assert res.mode == mode
         assert np.array_equal(res.state, mean) and np.array_equal(alg1.belief.cov, cov)
 

@@ -1,4 +1,4 @@
-"""Golden outputs: the CLI's files for three fixed-seed runs, checked by
+"""Golden outputs: the CLI's files for four fixed-seed runs, checked by
 SHA-256 digest against ``tests/golden/manifest.json``.
 
 Each run is repeated in a subprocess with ``OPENBLAS_NUM_THREADS=1``,
@@ -33,6 +33,10 @@ RUNS = {
                    "--emit-steps"],
     "cstr5-zero": ["--preset", "cstr5", "--strategy", "zero", "--trials", "10", "--seed", "7",
                    "--emit-steps"],
+    # the only run with process noise and a resampled x0, so the only one
+    # whose digests cover those draws of the truth
+    "cstr5-noise": ["--config", "tests/golden/cstr5-noise.json", "--trials", "10", "--seed", "7",
+                    "--emit-steps"],
 }
 
 

@@ -45,6 +45,11 @@ def test_histogram_edges_partition():
     assert len(edges) == 51
     edges = histogram_edges(3.0)  # 100 not divisible by 3: last bin is partial
     assert edges[-2] == 99.0 and edges[-1] == 100.0
+    for k in range(1, 401):  # 100 / k: exactly k bins, none of zero width
+        edges = histogram_edges(100 / k)
+        assert len(edges) == k + 1 and edges[0] == 0.0 and edges[-1] == 100.0, k
+        assert np.all(np.diff(edges) > 0.0), k
+        assert np.diff(edges).min() > 0.5 * (100 / k), k
     with pytest.raises(ValueError):
         histogram_edges(0.0)
 

@@ -29,7 +29,7 @@ from ncsmode.sim import (
     simulate_trial,
 )
 
-from oracles import run_one_at_a_time
+from oracles import run_one_at_a_time, simulate_truth
 
 
 @pytest.fixture(scope="module")
@@ -822,3 +822,62 @@ def test_absorbing_chain_in_lockstep_stays_healthy(preset_trial, strategy, monke
                               steps=40, est_x0=np.zeros(dim), est_P0=0.1 * np.eye(dim),
                               seed=21)
     _check_batched_run(cfg, ESTIMATOR_KEYS, 3, monkeypatch)
+
+
+# ---------------------------------------------------------------------------
+# The truths of a batch drawn in lockstep against each trial drawn alone
+# ---------------------------------------------------------------------------
+
+TRUTH_FIELDS = ("true_modes", "true_states", "y", "u", "u_applied")
+
+
+def _mixed_trials(base, n_trials):
+    """``n_trials`` configs of ``base`` whose per-trial options vary from
+    trial to trial: the seed, x0 and its resampling, the initial mode (drawn
+    or given), white or sequenced inputs, and the held input before step 0."""
+    rng = np.random.default_rng(2)
+    plant, s = base.plant, base.chain.s
+    trials = []
+    for t in range(n_trials):
+        inputs = dict(input_std=1.0 + t % 5, input_sequence=None)
+        if t % 4 == 0:
+            inputs = dict(input_std=None,
+                          input_sequence=rng.normal(scale=3.0, size=(base.steps + 1, plant.r)))
+        trials.append(dataclasses.replace(
+            base, seed=derive_trial_seed(11, t), x0=base.x0 + 0.01 * t,
+            resample_x0=t % 2 == 0, x0_std=0.5 + t % 3,
+            initial_mode=None if t % 3 else 1 + t % s,
+            u_init_applied=None if t % 5 == 0 else np.full(plant.r, t % 3 - 1.0),
+            **inputs,
+        ))
+    return trials
+
+
+@pytest.mark.parametrize("steps", [1, 25])
+def test_lockstep_truth_equals_each_trial_drawn_alone(preset_trial, steps):
+    """Batches of 1, 7 and 100 trials draw each trial's truth (modes, states,
+    outputs, issued and applied inputs) exactly as the trial drawn alone,
+    step by step with one ``sample_next`` per mode: on cstr5 under both
+    strategies and on quad4's 16 modes, each with process noise (cstr5's
+    noise covariance not diagonal), with per-trial options mixed in a batch."""
+    quad4 = load_config(str(QUAD4)).trial
+    noisy = {
+        "cstr5": (preset_trial, np.array([[1e-4, 2e-5], [2e-5, 5e-5]])),
+        "quad4": (quad4, 1e-4 * np.eye(quad4.plant.n)),
+    }
+    for key, strategy in (("cstr5", LossStrategy.HOLD), ("cstr5", LossStrategy.ZERO),
+                          ("quad4", LossStrategy.ZERO)):
+        base, q = noisy[key]
+        plant = dataclasses.replace(base.plant, Q=q)
+        dim = sim.build_augmented(plant, strategy).state_dim
+        cfg = dataclasses.replace(base, plant=plant, strategy=strategy, steps=steps,
+                                  est_x0=np.zeros(dim), est_P0=0.1 * np.eye(dim))
+        trials = _mixed_trials(cfg, 100)
+        alone = [simulate_truth(trial) for trial in trials]
+        for batch in (1, 7, 100):
+            records = [rec for first in range(0, len(trials), batch)
+                       for rec in sim._simulate_trials(trials[first:first + batch], ())]
+            for t, (rec, want) in enumerate(zip(records, alone)):
+                for name, expected in zip(TRUTH_FIELDS, want):
+                    assert np.array_equal(getattr(rec, name), expected), (key, strategy, batch,
+                                                                         t, name)
