@@ -25,17 +25,17 @@ beliefs (s, d) means with (s, d, d) covariances. The Kalman kernels
 broadcast over such leading axes. Each estimator decides a mode, then runs
 one Kalman cycle (``_cycle``: predict, innovation covariance, update,
 held-input floor) on the mode-table rows its decision selects: the decided
-mode for ``alg1`` and ``alg2``, all s filters for ``imm``. The banks of
-estimators of a batch of trials step in lockstep, one ``_cycle`` per step
-on the stacked rows of all of them, each with its trial's signals
-(``_bank_step``); an estimator's own ``step`` runs ``_cycle`` on its rows
-alone (``_lone_step``). The ``alg2`` estimators and the IMMs of a batch of
-T trials each step as one recursion over (T, s) stacks (``_alg2_step``,
-``_imm_step``), for which ``alg2_predict``, ``predict_prior``,
-``mode_posterior_update_log`` and ``mode_argmax`` take a leading trial
-axis; ``alg1`` steps per trial, whitening by its constant factor inverted
-once. Each trial gets, bit for bit, what it gets alone. ``start`` checks
-the step-0 signals as ``step`` checks its own, and must come first.
+mode for ``alg1`` and ``alg2``, all s filters for ``imm``. The estimators
+of a batch of trials step in lockstep, one step generator per kind
+(``_alg1_step``, ``_alg2_step``, ``_imm_step``) and one ``_cycle`` per step
+on the stacked rows of all of them, each with its trial's signals; results
+come back as columns over the trials (``_bank_step``). An estimator's own
+``step`` runs its generator for a batch of one (``_lone_step``).
+``alg2_predict``, ``predict_prior``, ``mode_posterior_update_log`` and
+``mode_argmax`` take a leading trial axis; ``alg1`` decides trial by trial,
+whitening by its constant factor inverted once. Each trial gets, bit for
+bit, what it gets alone. ``start`` checks the step-0 signals as ``step``
+checks its own, and must come first.
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -443,73 +443,65 @@ def _step_signals(est, u, y, m: int, force_mode=None, entry="step"):
     return u, y
 
 
-def _bank_step(banks, aug, floor, us, ys) -> list[list[StepResult]]:
-    """One step of a batch of banks; returns each bank's results in bank order.
+def _bank_step(groups, aug, floor, us, ys) -> dict:
+    """One step of a batch of trials' estimators, grouped by name (``groups``
+    maps a name to its estimator of each trial); returns each name's columns.
 
-    A bank's estimators are started and stepped on the same signals; the
-    banks of a batch (one per trial) step on their own signals, row b of
-    the (B, r) inputs ``us`` and of the (B, m) outputs ``ys``, and all share
-    one augmented model ``aug``, mode chain and held-input floor. All the
-    rows are checked finite at once: a non-finite one raises, naming no
-    trial. Then every estimator decides, one Kalman cycle (``_cycle``) runs
-    on the stacked mode-table rows they ask for (the decided mode of
-    ``alg1`` and ``alg2``, the s mixed filters of ``imm``) with each row's
-    own previous input and measurement, and every estimator commits.
-    ``alg1`` steps bank by bank; the ``alg2`` estimators of all the banks
-    step together (``_alg2_step``), and so do their IMMs (``_imm_step``).
-    Each such step is a generator:
+    The trials step on their own signals, row t of the (T, r) inputs ``us``
+    and of the (T, m) outputs ``ys``, which are checked finite at once (a
+    non-finite row raises, naming no trial), and share one augmented model
+    ``aug``, mode chain and held-input floor. Each name's estimators step as
+    one generator (``_alg1_step``, ``_alg2_step``, ``_imm_step``):
 
     1. up to its first yield it decides, committing nothing, and yields
        ``(rows, belief, u_prev, y)``: None (a mode-only ``alg1``), or its
        table rows, an int or int array shaped like the belief's leading
-       axes (one row of a (d,) belief for ``alg1``, (T,) rows of (T, d)
-       beliefs for ``alg2``, (T, s) rows of (T, s, d) beliefs for ``imm``),
-       with (u_prev, y) that broadcast over those axes;
-    2. it is sent its rows of the cycle's ``(pred_mean, innov_cov,
-       upd_mean, upd_cov)``, shaped like its rows (None without rows),
-       finishes everything that can raise and yields the StepResults of
-       its estimators;
+       axes ((T,) rows of (T, d) beliefs for ``alg1`` and ``alg2``, (T, s)
+       rows of (T, s, d) beliefs for ``imm``), with (u_prev, y) that
+       broadcast over those axes;
+    2. it is sent its rows of the one Kalman cycle (``_cycle``) run on all
+       the generators' stacked rows, ``(pred_mean, innov_cov, upd_mean,
+       upd_cov)`` shaped like its rows (None without rows), finishes
+       everything that can raise and yields its columns ``(modes, states,
+       posteriors, logliks, fallbacks)``: (T,) modes, (T, d) full states
+       (None for a mode-only ``alg1``), (T, s) posteriors and
+       log-likelihoods and (T,) flags, unstacked for a batch of one;
     3. resumed once more, it commits.
 
-    No estimator commits before every one of the batch has yielded its
-    results, so a step that raises leaves every bank as it was. An
-    estimator's own ``step`` runs the same generator, for a batch of one,
-    through ``_lone_step``.
+    No estimator commits before every generator has yielded its columns, so
+    a step that raises leaves every estimator as it was.
     """
     _require_finite("step inputs", us, ys)
-    steps, batched = [], {"alg2": [], "imm": []}
-    for bank, u, y in zip(banks, us, ys):
-        for est in bank:
-            if est.key == "alg1":
-                steps.append(([est], est._step(u, y, None)))
-            else:
-                batched[est.key].append((est, u, y))
-    for make_step, group in ((_alg2_step, batched["alg2"]), (_imm_step, batched["imm"])):
-        if group:
-            ests, group_us, group_ys = zip(*group)
-            steps.append((ests, make_step(aug, ests, group_us, group_ys)))
-    parts, blocks, n_rows = [], [], 0
-    for _, step in steps:
+    # looked up at each call, so that a patched generator takes part
+    make = {"alg1": _alg1_step, "alg2": _alg2_step, "imm": _imm_step}
+    steps = {name: make[name](aug, ests, us, ys) for name, ests in groups.items()}
+    parts, blocks, n_rows = {}, [], 0
+    for name, step in steps.items():
         rows, belief, u_prev, y = next(step)
         if rows is None:
-            parts.append(None)
+            parts[name] = None
             continue
         rows, d = np.asarray(rows), belief.mean.shape[-1]
         lead, size = rows.shape, rows.size
-        parts.append((slice(n_rows, n_rows + size), lead))
+        parts[name] = slice(n_rows, n_rows + size), lead
         n_rows += size
+        # each signal as one row per table row
+        u_prev, y = (a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:])
+                     for a in (u_prev, y))
         blocks.append((rows.reshape(size), belief.mean.reshape(size, d),
-                       belief.cov.reshape(size, d, d), _flat(u_prev, lead, size),
-                       _flat(y, lead, size)))
+                       belief.cov.reshape(size, d, d), u_prev.reshape(size, -1),
+                       y.reshape(size, -1)))
     if blocks:
         rows, mean, cov, u_prev, y = (np.concatenate(arrays) for arrays in zip(*blocks))
         cycle = _cycle(aug, floor, rows, GaussianBelief._of(mean, cov), u_prev, y)
-    results = {}
-    for (ests, step), part in zip(steps, parts):
-        results.update(zip(ests, step.send(None if part is None else _rows(part, *cycle))))
-    for _, step in steps:
+    columns = {}
+    for name, step in steps.items():
+        part = parts[name]
+        columns[name] = step.send(None if part is None else [
+            arr[part[0]].reshape(part[1] + arr.shape[1:]) for arr in cycle])
+    for step in steps.values():
         next(step, None)
-    return [[results[est] for est in bank] for bank in banks]
+    return columns
 
 
 def _cycle(aug, floor, rows, belief, u_prev, y):
@@ -525,29 +517,92 @@ def _cycle(aug, floor, rows, belief, u_prev, y):
     return pred.mean, innov[1], upd.mean, upd.cov
 
 
-def _flat(signal: np.ndarray, lead: tuple, size: int) -> np.ndarray:
-    """A step's (u_prev or y) signal as one row for each of its ``size``
-    table rows, shaped ``lead``."""
-    if signal.shape[:-1] != lead:
-        signal = np.broadcast_to(signal, lead + signal.shape[-1:])
-    return signal.reshape(size, -1)
-
-
-def _rows(part, *arrays) -> list[np.ndarray]:
-    """One step's rows (views) of stacked (N, ...) arrays, shaped like its
-    rows: ``part`` is their slice of the stack and their shape."""
-    rows, lead = part
-    return [arr[rows].reshape(lead + arr.shape[1:]) for arr in arrays]
-
-
-def _lone_step(step, aug, floor) -> list[StepResult]:
-    """Run one step generator of ``_bank_step``'s protocol with its own
-    Kalman cycle: its rows of the mode tables are picked from the tables
-    and nothing is stacked with other estimators."""
+def _lone_step(step, aug, floor) -> StepResult:
+    """Run one step generator of ``_bank_step``'s protocol for a batch of one,
+    with a Kalman cycle of its own rows alone; returns its columns as a
+    StepResult."""
     rows, belief, u_prev, y = next(step)
-    results = step.send(None if rows is None else _cycle(aug, floor, rows, belief, u_prev, y))
+    mode, state, posterior, loglik, fallback = step.send(
+        None if rows is None else _cycle(aug, floor, rows, belief, u_prev, y))
     next(step, None)
-    return results
+    return StepResult(int(mode), state, posterior.copy(), loglik, bool(fallback))
+
+
+def _stacked_beliefs(ests) -> GaussianBelief:
+    """The (d,) beliefs of T > 1 estimators as one (T, d) belief."""
+    return GaussianBelief._of(np.array([est._belief.mean for est in ests]),
+                              np.array([est._belief.cov for est in ests]))
+
+
+def _alg1_step(aug, ests, us, ys, force_mode=None):
+    """One step of T trials' ``alg1`` estimators (``Alg1Estimator``) on their
+    signals ``us[t]``, ``ys[t]``: each trial decides on its own histories,
+    then the decided rows of their stacked (T, d) beliefs ride the Kalman
+    cycle, as ``alg2``'s do (none for mode-only estimators; ``aug`` is
+    unused). A step generator of ``_bank_step``, like ``_alg2_step``. The
+    estimators share their strategy, and all or none tracks a state."""
+    hold = ests[0].strategy is LossStrategy.HOLD
+    decisions = []
+    for est, y in zip(ests, ys):
+        yhat = alg1_predict_output(
+            est.arma, est.strategy, est.space,
+            est._y_hist, est._u_hist, est._uhat_hist, est._mode_hist,
+        )
+        maha = np.add.reduce(np.square((y - yhat) @ est._white), axis=-1)  # squared distances
+        if not math.isfinite(np.maximum.reduce(maha)):  # NaN, or a residual too large to square
+            raise NumericalError("NaN log-likelihood")
+        loglik = -0.5 * (est.arma.m * LOG_2PI + maha) - est._log_det_half
+        gated = np.minimum.reduce(maha) > est._gate_d2
+        prior = predict_prior(est._probs, est._P)
+        if gated:
+            probs, fallback = prior, True
+        else:
+            probs, fallback = mode_posterior_update_log(prior, loglik)
+        mode = mode_argmax(probs) if force_mode is None else force_mode
+
+        # memory entries: the decided mode normally. On a fallback step the
+        # hold strategy re-anchors to the all-deliver mode, whose signals
+        # (the issued inputs) are known exactly; a gated zero-strategy step
+        # keeps the best-fitting candidate instead, since an anchor that is
+        # wrong (all-deliver is rare with several links) makes the next
+        # prediction wrong and the gate fire again
+        if not fallback:
+            memory_mode = mode
+        elif gated and not hold:
+            memory_mode = int(loglik.argmax()) + 1
+        else:
+            memory_mode = est.space.s
+        uhat = None
+        if hold:
+            if fallback:
+                uhat = est._u_hist[0].copy()
+            else:
+                alpha = est.space.flags[memory_mode - 1]
+                uhat = alpha * est._u_hist[0] + (1.0 - alpha) * est._uhat_hist[0]
+        decisions.append((mode, probs, loglik, fallback, memory_mode, uhat))
+    if len(ests) == 1:
+        (est,), rows = ests, lambda a: [a]
+        ((mode, probs, loglik, fallback, _, _),) = decisions
+        belief, last_u, y = est._belief, est._u_hist[0], ys[0]
+    else:
+        rows = list
+        mode, probs, loglik, fallback = (np.array(column) for column in list(zip(*decisions))[:4])
+        belief = None if ests[0]._kf is None else _stacked_beliefs(ests)
+        last_u, y = np.array([est._u_hist[0] for est in ests]), np.array(ys)
+    cycle = yield (None if belief is None else mode - 1), belief, last_u, y
+    yield mode, None if cycle is None else cycle[2], probs, loglik, fallback
+
+    means, covs = ([None] * len(ests),) * 2 if cycle is None else (rows(cycle[2]), rows(cycle[3]))
+    for est, u, y, decision, mean, cov in zip(ests, us, ys, decisions, means, covs):
+        _, est._probs, _, _, memory_mode, uhat = decision
+        if hold:
+            est._uhat_hist.appendleft(uhat)
+        if est.arma.p > 1:
+            est._mode_hist.appendleft(memory_mode)
+        if cycle is not None:
+            est._belief = GaussianBelief._of(mean, cov)
+        est._y_hist.appendleft(y)
+        est._u_hist.appendleft(u)
 
 
 def _alg2_step(aug, ests, us, ys, force_mode=None):
@@ -557,16 +612,14 @@ def _alg2_step(aug, ests, us, ys, force_mode=None):
     posterior update and argmax (a single trial's arrays are used
     unstacked). As a step generator of ``_bank_step`` it yields each trial's
     decided table row with its belief, previous input and measurement, then
-    the T StepResults as a list. ``force_mode`` replaces the decision of a
-    single trial. The estimators share ``aug`` and their mode chain, and
-    each trial gets, bit for bit, the numbers it gets alone."""
+    its columns. ``force_mode`` replaces the decision of a single trial. The
+    estimators share ``aug`` and their mode chain, and each trial gets, bit
+    for bit, the numbers it gets alone."""
     if len(ests) == 1:
         (est,), rows = ests, lambda a: [a]
         belief, last_u, prior, y = est._belief, est._last_u, est._probs, ys[0]
     else:
-        rows = list
-        belief = GaussianBelief._of(np.array([est._belief.mean for est in ests]),
-                                    np.array([est._belief.cov for est in ests]))
+        rows, belief = list, _stacked_beliefs(ests)
         last_u, prior, y = (np.array(arrays) for arrays in (
             [est._last_u for est in ests], [est._probs for est in ests], ys))
     yhat, sigma = alg2_predict(aug, belief, last_u)
@@ -576,8 +629,7 @@ def _alg2_step(aug, ests, us, ys, force_mode=None):
     mode = mode_argmax(probs) if force_mode is None else force_mode
 
     _, _, mean, cov = yield mode - 1, belief, last_u, y
-    yield [StepResult(int(j), state, p.copy(), ll, bool(flag)) for j, state, p, ll, flag
-           in zip(rows(mode), rows(mean), rows(probs), rows(loglik), rows(fallback))]
+    yield mode, mean, probs, loglik, fallback
 
     for est, u, p, new_mean, new_cov in zip(ests, us, rows(probs), rows(mean), rows(cov)):
         est._probs, est._belief, est._last_u = p, GaussianBelief._of(new_mean, new_cov), u
@@ -589,10 +641,10 @@ def _imm_step(aug, imms, us, ys):
     combination over their stacked (T, s) arrays (a single trial's are used
     unstacked). As a step generator of ``_bank_step`` it yields every table
     row of every trial, the mixed filters and each trial's (u_prev, y) with
-    a unit axis that broadcasts over them, then the T StepResults as a list.
-    The IMMs share ``aug`` and their mode chain. Every product stacks
-    per-trial matrix products and every reduction runs along a row, so each
-    trial gets, bit for bit, the numbers it gets alone."""
+    a unit axis that broadcasts over them, then its columns. The IMMs share
+    ``aug`` and their mode chain. Every product stacks per-trial matrix
+    products and every reduction runs along a row, so each trial gets, bit
+    for bit, the numbers it gets alone."""
     first, trans = imms[0], imms[0]._P
     # T > 1 trials' arrays stack on a leading axis, and their rows are the
     # trials' own; a single trial's arrays are used as they are
@@ -616,16 +668,14 @@ def _imm_step(aug, imms, us, ys):
     loglik = _chol_logpdf(y - _mv(aug.C, pred_mean), chol, _log_det_half(chol))
     mu, fallback = mode_posterior_update_log(prior, loglik)
     combined = _moment_match(mu[..., None, :], upd_mean, upd_cov)
-    states, state_covs = rows(combined.mean[..., 0, :]), rows(combined.cov[..., 0, :, :])
-    yield [StepResult(int(mode), state, probs.copy(), ll, bool(flag))
-           for mode, state, probs, ll, flag
-           in zip(rows(mode_argmax(mu)), states, rows(mu), rows(loglik), rows(fallback))]
+    state, state_cov = combined.mean[..., 0, :], combined.cov[..., 0, :, :]
+    yield mode_argmax(mu), state, mu, loglik, fallback
 
-    for imm, means, covs, probs, u, state, state_cov in zip(
-        imms, rows(upd_mean), rows(upd_cov), rows(mu), us, states, state_covs
+    for imm, means, covs, probs, u, mean, cov in zip(
+        imms, rows(upd_mean), rows(upd_cov), rows(mu), us, rows(state), rows(state_cov)
     ):
         imm._means, imm._covs, imm._mu, imm._last_u = means, covs, probs, u
-        imm._combined = state, state_cov
+        imm._combined = mean, cov
 
 
 class Alg1Estimator:
@@ -717,60 +767,8 @@ class Alg1Estimator:
         if self._u_hist is None:
             raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.arma.m, force_mode)
-        return _lone_step(self._step(u, y, force_mode), self._kf, self._held_cov_floor)[0]
-
-    def _step(self, u, y, force_mode):
-        """This estimator's part of a bank step (see ``_bank_step``)."""
-        yhat = alg1_predict_output(
-            self.arma, self.strategy, self.space,
-            self._y_hist, self._u_hist, self._uhat_hist, self._mode_hist,
-        )
-        maha = np.add.reduce(np.square((y - yhat) @ self._white), axis=-1)  # squared distances
-        if not math.isfinite(np.maximum.reduce(maha)):  # NaN, or a residual too large to square
-            raise NumericalError("NaN log-likelihood")
-        loglik = -0.5 * (self.arma.m * LOG_2PI + maha) - self._log_det_half
-        gated = np.minimum.reduce(maha) > self._gate_d2
-        prior = predict_prior(self._probs, self._P)
-        if gated:
-            probs, fallback = prior, True
-        else:
-            probs, fallback = mode_posterior_update_log(prior, loglik)
-        mode = mode_argmax(probs) if force_mode is None else force_mode
-
-        # memory entries: the decided mode normally. On a fallback step the
-        # hold strategy re-anchors to the all-deliver mode, whose signals
-        # (the issued inputs) are known exactly; a gated zero-strategy step
-        # keeps the best-fitting candidate instead, since an anchor that is
-        # wrong (all-deliver is rare with several links) makes the next
-        # prediction wrong and the gate fire again
-        hold = self.strategy is LossStrategy.HOLD
-        if not fallback:
-            memory_mode = mode
-        elif gated and not hold:
-            memory_mode = int(loglik.argmax()) + 1
-        else:
-            memory_mode = self.space.s
-        if hold:
-            if fallback:
-                uhat = self._u_hist[0].copy()
-            else:
-                alpha = self.space.flags[memory_mode - 1]
-                uhat = alpha * self._u_hist[0] + (1.0 - alpha) * self._uhat_hist[0]
-
-        cycle = yield (None if self._kf is None else mode - 1), self._belief, self._u_hist[0], y
-        yield [StepResult(
-            mode, None if cycle is None else cycle[2], probs.copy(), loglik, fallback
-        )]
-
-        self._probs = probs
-        if hold:
-            self._uhat_hist.appendleft(uhat)
-        if self.arma.p > 1:
-            self._mode_hist.appendleft(memory_mode)
-        if cycle is not None:
-            self._belief = GaussianBelief._of(cycle[2], cycle[3])
-        self._y_hist.appendleft(y)
-        self._u_hist.appendleft(u)
+        return _lone_step(_alg1_step(self._kf, [self], [u], [y], force_mode), self._kf,
+                          self._held_cov_floor)
 
 
 class Alg2Estimator:
@@ -818,7 +816,7 @@ class Alg2Estimator:
             raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.aug.plant.m, force_mode)
         return _lone_step(_alg2_step(self.aug, [self], [u], [y], force_mode), self.aug,
-                          self._held_cov_floor)[0]
+                          self._held_cov_floor)
 
 
 class ImmEstimator:
@@ -877,4 +875,4 @@ class ImmEstimator:
             raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.aug.plant.m)
         return _lone_step(_imm_step(self.aug, [self], [u], [y]), self.aug,
-                          self._held_cov_floor)[0]
+                          self._held_cov_floor)

@@ -54,6 +54,8 @@ def rmse(true_states, est_states, i: int) -> float:
 def _check_bin_width(bin_width: float, name: str = "bin width") -> None:
     if not 0.0 < bin_width <= 100.0:  # NaN fails too
         raise ValueError(f"{name} must be in (0, 100], got {bin_width}")
+    if bin_width < 0.01:
+        raise ValueError(f"{name} must be at least 0.01 (10000 bins), got {bin_width}")
 
 
 def histogram_edges(bin_width: float) -> np.ndarray:

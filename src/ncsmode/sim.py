@@ -8,12 +8,12 @@ measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
 A Monte Carlo run splits its trials into batches, run in this process or
 by a pool of worker processes. A batch draws its truths in lockstep, then
-its banks step in lockstep, with one
-stacked Kalman cycle per step for all of them, one ``alg2`` recursion for
-all their ``alg2`` estimators and one IMM recursion for all their IMMs
-(``alg1`` decides trial by trial); each record equals the one its trial
-gives alone. Every entry point refuses an unknown or repeated estimator
-name.
+its estimators step in lockstep by kind, with one step of each kind for
+all the trials and one stacked Kalman cycle per step for all of them
+(``alg1`` decides trial by trial inside its step), and each kind's results
+are written as columns into the batch's arrays; each record equals the one
+its trial gives alone. Every entry point refuses an unknown or repeated
+estimator name.
 
 Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
@@ -68,10 +68,10 @@ ESTIMATOR_KEYS = ("alg1", "alg2", "imm")
 
 SEED_MASK = (1 << 64) - 1
 
-# most Kalman rows one lockstep step of a Monte Carlo batch stacks: a trial
-# adds one row for alg1 and for alg2 and s for imm, so this bounds the
-# batch's cycle memory (rows x d x d floats) whatever the mode count
-MAX_CYCLE_ROWS = 4096
+# most floats the largest stacked arrays of a lockstep step of a Monte Carlo
+# batch hold: a trial adds d x d for each of its Kalman rows (one for alg1
+# and for alg2, s for imm) and s x s x d for its IMM's mixing
+MAX_BATCH_FLOATS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -310,16 +310,18 @@ def _simulate_truths(configs, aug):
     return modes, true_states, _mv(plant.C, true_states) + v, us, u_applied
 
 
-def _run_estimators(cfg: TrialConfig, names, aug, us, ys) -> list:
+def _run_estimators(cfg: TrialConfig, names, aug, us, ys):
     """Step the estimators of a batch of trials in lockstep.
 
     ``us`` and ``ys`` stack the trials' issued inputs (T, N+1, r) and
     measured outputs (T, N+1, m); the trials share ``cfg`` but for their
-    signals. Each trial's estimators form a bank, started on (u_0, y_0);
-    then every step runs all the banks through one ``_bank_step`` on their
-    (u_k, y_k) rows. Returns, per trial, modes, states and fallbacks per
-    name, aligned as in a TrialRecord (filled up to a failure), and None or
-    the first numerical failure as (step, reason, exception).
+    signals. Each trial's estimators are started on (u_0, y_0); then every
+    step runs them all, grouped by name, through one ``_bank_step`` on their
+    (u_k, y_k) rows, and writes each name's columns into the batch's arrays.
+    Returns modes (T, N), states (T, N, n) and fallbacks (T, N) per name,
+    aligned as in a TrialRecord (each trial's filled up to its failure), and
+    per trial None or its first numerical failure as (step, reason,
+    exception).
 
     A batched step that raises commits nothing, so it is re-run one way:
     each trial's estimators step alone (``step``), in selection order. Every
@@ -330,55 +332,50 @@ def _run_estimators(cfg: TrialConfig, names, aug, us, ys) -> list:
     """
     n_trials, nsteps, n = us.shape[0], us.shape[1] - 1, cfg.plant.n
     floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
-    out = [
-        ({name: np.zeros(nsteps, dtype=int) for name in names},
-         {name: np.zeros((nsteps, n)) for name in names},
-         {name: np.zeros(nsteps, dtype=bool) for name in names})
-        for _ in range(n_trials)
-    ]
+    modes = {name: np.zeros((n_trials, nsteps), dtype=int) for name in names}
+    states = {name: np.zeros((n_trials, nsteps, n)) for name in names}
+    fallbacks = {name: np.zeros((n_trials, nsteps), dtype=bool) for name in names}
     failures = [None] * n_trials
     if not names:
-        return [(*arrays, None) for arrays in out]
-
-    def record(t, name, res):
-        modes, states, fallbacks = out[t]
-        modes[name][k - 1] = res.mode
-        states[name][k - 1] = res.state[:n]
-        fallbacks[name][k - 1] = res.fallback
-
+        return modes, states, fallbacks, failures
     try:
         # the estimators depend on cfg alone: every trial's build, or none
         arma = None
         if "alg1" in names:
             arma = cfg.arma if cfg.arma is not None else ss_to_arma(cfg.plant)
-        banks = [tuple(_build_estimators(cfg, names, aug, floor, arma).values())
-                 for _ in range(n_trials)]
+        banks = [_build_estimators(cfg, names, aug, floor, arma) for _ in range(n_trials)]
     except (NumericalError, np.linalg.LinAlgError) as exc:
-        return [(*arrays, (0, str(exc), exc)) for arrays in out]
+        return modes, states, fallbacks, [(0, str(exc), exc)] * n_trials
     for bank, u, y in zip(banks, us, ys):
-        for est in bank:
+        for est in bank.values():
             est.start(u[0], y[0])
-    active = list(range(n_trials))
+    active = np.arange(n_trials)
+    groups = {name: [bank[name] for bank in banks] for name in names}
     for k in range(1, nsteps + 1):
-        if not active:
+        if not active.size:
             break
         u_k, y_k = us[active, k], ys[active, k]
         try:
-            results = _bank_step([banks[t] for t in active], aug, floor, u_k, y_k)
+            columns = _bank_step(groups, aug, floor, u_k, y_k)
         except (NumericalError, np.linalg.LinAlgError):
             for t, u, y in zip(active, u_k, y_k):
-                for name, est in zip(names, banks[t]):
+                for name in names:
                     try:
-                        record(t, name, est.step(u, y))
+                        res = banks[t][name].step(u, y)
                     except (NumericalError, np.linalg.LinAlgError) as exc:
                         failures[t] = k, f"{name}: {exc}", exc
                         break
-            active = [t for t in active if failures[t] is None]
+                    modes[name][t, k - 1] = res.mode
+                    states[name][t, k - 1] = res.state[:n]
+                    fallbacks[name][t, k - 1] = res.fallback
+            active = np.array([t for t in active if failures[t] is None], dtype=int)
+            groups = {name: [banks[t][name] for t in active] for name in names}
             continue
-        for t, bank_results in zip(active, results):
-            for name, res in zip(names, bank_results):
-                record(t, name, res)
-    return [(*arrays, failure) for arrays, failure in zip(out, failures)]
+        for name, (mode, state, _, _, fallback) in columns.items():
+            modes[name][active, k - 1] = mode
+            states[name][active, k - 1] = state[..., :n]
+            fallbacks[name][active, k - 1] = fallback
+    return modes, states, fallbacks, failures
 
 
 def _simulate_trials(configs, names) -> list[TrialRecord]:
@@ -389,16 +386,18 @@ def _simulate_trials(configs, names) -> list[TrialRecord]:
     cfg = configs[0]
     aug = build_augmented(cfg.plant, cfg.strategy)
     truths = _simulate_truths(configs, aug)
+    modes, states, fallbacks, failures = _run_estimators(cfg, names, aug, truths[3], truths[2])
     records = []
-    for trial, true_modes, true_states, y, u, u_applied, estimate in zip(
-            configs, *truths, _run_estimators(cfg, names, aug, truths[3], truths[2])):
-        est_modes, est_states, fallbacks, failure = estimate
+    for t, (trial, true_modes, true_states, y, u, u_applied, failure) in enumerate(
+            zip(configs, *truths, failures)):
         fail_step, fail_reason, _ = failure or (None, None, None)
         records.append(TrialRecord(
-            steps=trial.steps, estimators=names, true_modes=true_modes, est_modes=est_modes,
-            true_states=true_states, est_states=est_states, y=y, u=u,
-            u_applied=u_applied, fallbacks=fallbacks, seed=trial.seed,
-            failed=failure is not None, fail_step=fail_step, fail_reason=fail_reason,
+            steps=trial.steps, estimators=names, true_modes=true_modes,
+            est_modes={name: modes[name][t] for name in names}, true_states=true_states,
+            est_states={name: states[name][t] for name in names}, y=y, u=u,
+            u_applied=u_applied, fallbacks={name: fallbacks[name][t] for name in names},
+            seed=trial.seed, failed=failure is not None, fail_step=fail_step,
+            fail_reason=fail_reason,
         ))
     return records
 
@@ -426,9 +425,9 @@ def run_monte_carlo(
     Trial t runs with seed ``derive_trial_seed(base_seed, t)``. The trials
     run in batches whose estimators step in lockstep, on
     ``min(n_jobs, n_trials, os.cpu_count())`` workers: a batch holds
-    ⌈n_trials / workers⌉ trials, and no more than fit ``MAX_CYCLE_ROWS``
-    Kalman rows. With one worker the batches run in this process, with more
-    a pool of worker processes runs them. Records are identical either way,
+    ⌈n_trials / workers⌉ trials, and no more than fit ``MAX_BATCH_FLOATS``
+    (one at least). With one worker the batches run in this process, with
+    more a pool of worker processes runs them. Records are identical either way,
     and equal to :func:`simulate_trial`'s, because each trial owns its
     streams and every row of a batched step is computed as it is alone.
     The arguments are checked at the call, before any record is asked for.
@@ -443,8 +442,10 @@ def run_monte_carlo(
         for t in range(n_trials)
     ]
     workers = min(n_jobs, n_trials, os.cpu_count() or 1)
-    rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
-    size = min(-(-n_trials // workers), max(1, MAX_CYCLE_ROWS // max(rows, 1)))
+    s, d = cfg.chain.s, AugmentedModel(cfg.plant, cfg.strategy).state_dim
+    rows = sum(s if name == "imm" else 1 for name in names)
+    floats = rows * d * d + (s * s * d if "imm" in names else 0)
+    size = min(-(-n_trials // workers), max(1, MAX_BATCH_FLOATS // max(floats, 1)))
     batches = [configs[first:first + size] for first in range(0, n_trials, size)]
     return _run_batches(batches, names, workers)
 
@@ -480,7 +481,7 @@ def replay_estimators(cfg: TrialConfig, estimator_names, u: np.ndarray, y: np.nd
         raise ValueError("u and y must cover the same steps")
     names = _estimator_names(estimator_names)
     aug = build_augmented(cfg.plant, cfg.strategy)
-    [(modes, states, fallbacks, failure)] = _run_estimators(cfg, names, aug, u[None], y[None])
+    modes, states, fallbacks, [failure] = _run_estimators(cfg, names, aug, u[None], y[None])
     if failure is not None:
         raise failure[2]
-    return {name: (modes[name], states[name], fallbacks[name]) for name in names}
+    return {name: (modes[name][0], states[name][0], fallbacks[name][0]) for name in names}

@@ -488,6 +488,18 @@ def test_bad_histogram_bin_width_exits_2_before_any_trial(tmp_path, capsys, widt
     assert not out.exists()
 
 
+def test_histogram_bin_width_below_a_hundredth_exits_2(tmp_path, capsys):
+    """A width that would make more than 10000 histogram bins (0.0001 makes
+    a million) is refused at load, before any trial runs or any histogram
+    is allocated: exit 2 and no output directory."""
+    out = tmp_path / "out"
+    args = ["run", "--preset", "cstr5", "--trials", "2", "--steps", "20",
+            "--hist-bin-width", "0.0001", "--out", str(out)]
+    assert main(args) == 2
+    assert "hist_bin_width must be at least 0.01 (10000 bins), got 0.0001" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "section, value, message",
     [("input", {"std": [10.0, 10.0], "sequence": [[1.0, 1.0]] * 101},

@@ -54,6 +54,15 @@ def test_histogram_edges_partition():
         histogram_edges(0.0)
 
 
+def test_histogram_edges_refuse_more_than_ten_thousand_bins(monkeypatch):
+    """A width of 0.01 gives 10000 bins; a smaller one raises before any
+    edge array is allocated."""
+    assert len(histogram_edges(0.01)) == 10001
+    monkeypatch.setattr(np, "arange", None)  # a call would raise TypeError
+    with pytest.raises(ValueError, match="at least 0.01"):
+        histogram_edges(0.0099)
+
+
 @pytest.fixture(scope="module")
 def small_records():
     cfg = dataclasses.replace(load_config("cstr5").trial, steps=30)

@@ -477,7 +477,7 @@ def test_bank_step_failure_equals_one_estimator_at_a_time(
 
 def _late_failure(make_step):
     """A step generator of ``_bank_step``'s protocol that runs through the
-    stacked cycle and then raises, before its results."""
+    stacked cycle and then raises, before its columns."""
     def step(*args):
         inner = make_step(*args)
         inner.send((yield next(inner)))
@@ -485,37 +485,54 @@ def _late_failure(make_step):
     return step
 
 
+def _grouped(banks, names=ESTIMATOR_KEYS):
+    """Trials' banks (name -> estimator) as ``_bank_step`` takes them: each
+    name's estimator of every trial."""
+    return {name: [bank[name] for bank in banks] for name in names}
+
+
+def _signals(recs, k):
+    return np.array([rec.u[k] for rec in recs]), np.array([rec.y[k] for rec in recs])
+
+
 def _assert_late_failure_commits_nothing(cfg, make_failing):
-    """Step two trials' banks once, make one step fail late (make_failing
-    gets the banks), step again: the failure propagates and no estimator of
-    either bank has moved past the first step."""
+    """Step two trials' estimators once, make one step fail late
+    (make_failing gets the banks), step again: the failure propagates and
+    no estimator of either trial has moved past the first step."""
     recs = [simulate_trial(dataclasses.replace(cfg, seed=seed), ()) for seed in (2, 3)]
     aug = sim.build_augmented(cfg.plant, cfg.strategy)
     arma = sim.ss_to_arma(cfg.plant)
-    banks = [tuple(sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, 0.1, arma).values())
-             for _ in recs]
+    banks = [sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, 0.1, arma) for _ in recs]
     for bank, rec in zip(banks, recs):
-        for est in bank:
+        for est in bank.values():
             est.start(rec.u[0], rec.y[0])
-    _bank_step(banks, aug, 0.1, [rec.u[1] for rec in recs], [rec.y[1] for rec in recs])
+    _bank_step(_grouped(banks), aug, 0.1, *_signals(recs, 1))
     make_failing(banks)
-    before = [[np.array(a) for a in _final_beliefs(est)] for bank in banks for est in bank]
+
+    def state(bank):
+        alg1 = bank["alg1"]
+        histories = alg1._y_hist, alg1._u_hist, alg1._uhat_hist, alg1._mode_hist
+        return [np.array(a) for est in bank.values() for a in _final_beliefs(est)] + [
+            np.array(list(history)) for history in histories]
+
+    before = [state(bank) for bank in banks]
     with pytest.raises(NumericalError, match="late failure"):
-        _bank_step(banks, aug, 0.1, [rec.u[2] for rec in recs], [rec.y[2] for rec in recs])
-    after = [_final_beliefs(est) for bank in banks for est in bank]
+        _bank_step(_grouped(banks), aug, 0.1, *_signals(recs, 2))
+    after = [state(bank) for bank in banks]
     for got_all, want_all in zip(after, before, strict=True):
         for got, want in zip(got_all, want_all, strict=True):
             assert np.array_equal(got, want)
     for bank, rec in zip(banks, recs):
-        assert np.array_equal(bank[0]._y_hist[0], rec.y[1])
-        assert np.array_equal(bank[1]._last_u, rec.u[1])
-        assert np.array_equal(bank[2]._last_u, rec.u[1])
+        assert np.array_equal(bank["alg1"]._y_hist[0], rec.y[1])
+        assert np.array_equal(bank["alg1"]._u_hist[0], rec.u[1])
+        assert np.array_equal(bank["alg2"]._last_u, rec.u[1])
+        assert np.array_equal(bank["imm"]._last_u, rec.u[1])
 
 
 def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial, monkeypatch):
-    """The batch's IMM step (all trials' IMMs at once, after every alg1 and
-    alg2) failing after the stacked cycle leaves every estimator of every
-    trial as it was: none commits before all succeed."""
+    """The batch's IMM step (all trials' IMMs at once, after their alg1 and
+    alg2 steps) failing after the stacked cycle leaves every estimator of
+    every trial as it was: none commits before all succeed."""
     cfg = dataclasses.replace(preset_trial, steps=5)
 
     def fail_imms(banks):
@@ -534,6 +551,61 @@ def test_bank_step_commits_nothing_when_one_trials_estimator_fails(preset_trial,
         monkeypatch.setattr(filters, "_alg2_step", _late_failure(filters._alg2_step))
 
     _assert_late_failure_commits_nothing(cfg, fail_alg2)
+
+
+def test_bank_step_commits_nothing_when_the_alg1_step_fails(preset_trial, monkeypatch):
+    """The batch's alg1 step (both trials' alg1 estimators at once, ahead of
+    the others) failing after the stacked cycle leaves every estimator as it
+    was: their deque histories, posteriors and beliefs included."""
+    cfg = dataclasses.replace(preset_trial, steps=5)
+
+    def fail_alg1(banks):
+        monkeypatch.setattr(filters, "_alg1_step", _late_failure(filters._alg1_step))
+
+    _assert_late_failure_commits_nothing(cfg, fail_alg1)
+
+
+def test_each_kind_steps_once_per_lockstep_step(preset_trial, monkeypatch):
+    """A batch of 7 trials runs each estimator kind's step generator once
+    per lockstep step, for all 7 trials at once: alg1 too."""
+    calls = Counter()
+
+    def counting(name, make_step):
+        def step(aug, ests, *args):
+            calls[name, len(ests)] += 1
+            return make_step(aug, ests, *args)
+        return step
+
+    for name in ESTIMATOR_KEYS:
+        key = f"_{name}_step"
+        monkeypatch.setattr(filters, key, counting(name, getattr(filters, key)))
+    cfg = dataclasses.replace(preset_trial, steps=6)
+    records = list(run_monte_carlo(cfg, 7, 5, ESTIMATOR_KEYS))
+    assert not any(rec.failed for rec in records)
+    assert calls == {(name, 7): cfg.steps for name in ESTIMATOR_KEYS}
+
+
+def test_monte_carlo_builds_no_step_result(preset_trial, monkeypatch):
+    """The Monte Carlo path writes the columns of each lockstep step into
+    its arrays and constructs no StepResult; an online step builds one."""
+    built = Counter()
+
+    class Counted(filters.StepResult):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            built["results"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(filters, "StepResult", Counted)
+    records = list(run_monte_carlo(dataclasses.replace(preset_trial, steps=6), 3, 5,
+                                   ESTIMATOR_KEYS))
+    assert not any(rec.failed for rec in records) and built["results"] == 0
+    est = sim._build_estimators(preset_trial, ("imm",), sim.build_augmented(
+        preset_trial.plant, preset_trial.strategy), 0.1, None)["imm"]
+    est.start(records[0].u[0], records[0].y[0])
+    assert isinstance(est.step(records[0].u[1], records[0].y[1]), Counted)
+    assert built["results"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +692,13 @@ def _assert_monte_carlo_equals_alone(cfg, n_trials, base_seed, names, records):
         _assert_records_identical(rec, simulate_trial(trial, names))
 
 
+def _trial_floats(names, s, d):
+    """The floats a trial adds to a batch's bound: d x d per Kalman row (one
+    for alg1 and alg2, s for imm) and s x s x d for IMM mixing."""
+    rows = sum(s if name == "imm" else 1 for name in names)
+    return rows * d * d + (s * s * d if "imm" in names else 0)
+
+
 def _unreachable_mode_chain(chain):
     """The chain with every move into mode 1 redirected to mode s: mode 1
     gets prior zero from the first step on, so IMM keeps its filter
@@ -635,23 +714,28 @@ def test_monte_carlo_batches_equal_trials_run_alone(preset_trial, monkeypatch, b
                                                     n_trials, steps):
     """Batches of 1, 7 and 100 trials give records equal, field for field,
     to simulate_trial's, and each batch's trials step in lockstep, one bank
-    step per step: on cstr5 (a trial stacks 1 + 1 + 4 Kalman rows), on
-    quad4's 16 modes under the zero strategy (1 + 1 + 16 rows) and on cstr5
-    with an unreachable mode; with all three estimators, with alg2 alone
-    and with alg2 and imm."""
+    step per step with every selected name's estimators of all the batch's
+    trials: on cstr5 (a trial stacks 1 + 1 + 4 Kalman rows), on quad4's 16
+    modes under the zero strategy (1 + 1 + 16 rows) and on cstr5 with an
+    unreachable mode; with all three estimators, with alg2 alone and with
+    alg2 and imm."""
     base = dataclasses.replace(preset_trial, steps=steps)
     quad4 = dataclasses.replace(load_config(str(QUAD4)).trial, steps=steps)
     unreachable = dataclasses.replace(base, chain=_unreachable_mode_chain(base.chain))
     for cfg, names in itertools.product((base, quad4, unreachable),
                                         (ESTIMATOR_KEYS, ("alg2",), ("alg2", "imm"))):
-        rows = sum(cfg.chain.s if name == "imm" else 1 for name in names)
-        monkeypatch.setattr(sim, "MAX_CYCLE_ROWS", rows * batch)
+        dim = sim.build_augmented(cfg.plant, cfg.strategy).state_dim
+        monkeypatch.setattr(sim, "MAX_BATCH_FLOATS",
+                            _trial_floats(names, cfg.chain.s, dim) * batch)
         calls = Counter()
         real = sim._bank_step
 
-        def counted(banks, *args):
-            calls[len(banks)] += 1
-            return real(banks, *args)
+        def counted(groups, *args):
+            assert tuple(groups) == names
+            sizes = {len(ests) for ests in groups.values()}
+            assert len(sizes) == 1
+            calls[sizes.pop()] += 1
+            return real(groups, *args)
 
         monkeypatch.setattr(sim, "_bank_step", counted)
         records = list(run_monte_carlo(cfg, n_trials, 55, names))
@@ -663,12 +747,12 @@ def test_monte_carlo_batches_equal_trials_run_alone(preset_trial, monkeypatch, b
 
 
 def test_lockstep_step_results_equal_each_trial_alone(preset_trial):
-    """Every StepResult of a lockstep batch, the posterior and the
+    """Every row of a lockstep batch's columns, the posterior and the
     log-likelihoods behind each decision included, and every final belief
-    equal, bit for bit, those of each trial's estimators stepped alone: on
-    cstr5, quad4 and the unreachable-mode chain, for 7 trials. A record
-    keeps only decisions and states, which a last-bit change in the
-    candidate scores rarely moves."""
+    equal, bit for bit, the StepResult and beliefs of each trial's
+    estimators stepped alone: on cstr5, quad4 and the unreachable-mode
+    chain, for 7 trials. A record keeps only decisions and states, which a
+    last-bit change in the candidate scores rarely moves."""
     unreachable = dataclasses.replace(preset_trial,
                                       chain=_unreachable_mode_chain(preset_trial.chain))
     for cfg in (preset_trial, load_config(str(QUAD4)).trial, unreachable):
@@ -679,32 +763,38 @@ def test_lockstep_step_results_equal_each_trial_alone(preset_trial):
         floor = filters.DEFAULT_HELD_COV_FLOOR
 
         def build():
-            return [tuple(sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, floor, arma).values())
-                    for _ in recs]
+            return [sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, floor, arma) for _ in recs]
 
         banks, alone = build(), build()
         for bank, lone_bank, rec in zip(banks, alone, recs):
-            for est in bank + lone_bank:
+            for est in [*bank.values(), *lone_bank.values()]:
                 est.start(rec.u[0], rec.y[0])
         for k in range(1, cfg.steps + 1):
-            results = _bank_step(banks, aug, floor, [rec.u[k] for rec in recs],
-                                 [rec.y[k] for rec in recs])
-            for bank_results, lone_bank, rec in zip(results, alone, recs):
-                for got, est in zip(bank_results, lone_bank, strict=True):
-                    want = est.step(rec.u[k], rec.y[k])
-                    assert (got.mode, got.fallback) == (want.mode, want.fallback), est.key
-                    for field in ("state", "posterior", "loglik"):
-                        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+            columns = _bank_step(_grouped(banks), aug, floor, *_signals(recs, k))
+            assert tuple(columns) == ESTIMATOR_KEYS
+            for name, (modes, states, posteriors, logliks, fallbacks) in columns.items():
+                assert modes.shape == fallbacks.shape == (len(recs),)
+                assert states.shape == (len(recs), aug.state_dim)
+                for t, (lone_bank, rec) in enumerate(zip(alone, recs)):
+                    want = lone_bank[name].step(rec.u[k], rec.y[k])
+                    assert (modes[t], fallbacks[t]) == (want.mode, want.fallback), name
+                    for got, field in ((states, "state"), (posteriors, "posterior"),
+                                       (logliks, "loglik")):
+                        assert np.array_equal(got[t], getattr(want, field)), (name, field)
         for bank, lone_bank in zip(banks, alone):
-            for est, lone in zip(bank, lone_bank):
-                for got, want in zip(_final_beliefs(est), _final_beliefs(lone), strict=True):
-                    assert np.array_equal(got, want), est.key
+            for name in ESTIMATOR_KEYS:
+                for got, want in zip(_final_beliefs(bank[name]), _final_beliefs(lone_bank[name]),
+                                     strict=True):
+                    assert np.array_equal(got, want), name
 
 
 def test_monte_carlo_batch_size_follows_the_row_bound(preset_trial, monkeypatch):
-    """As many trials to a batch as fit MAX_CYCLE_ROWS stacked rows: a
-    cstr5 trial stacks 1 + 1 + 4 rows with all three estimators, 4 with
-    imm alone; a trial with no estimator stacks none."""
+    """As many trials to a batch as fit MAX_BATCH_FLOATS: a cstr5 trial
+    (hold, d = 4, s = 4) holds 1 + 1 + 4 Kalman rows of d x d floats and
+    s x s x d of IMM mixing with all three estimators, 4 rows and the mixing
+    with imm alone, and a trial with no estimator none. A 256-mode hold
+    plant (r = 8, d = 10) running imm alone holds 256 x 100 + 256 x 256 x 10
+    floats, more than fit twice, so each trial is a batch of its own."""
     batches = []
 
     def recording(configs, names):
@@ -712,11 +802,23 @@ def test_monte_carlo_batch_size_follows_the_row_bound(preset_trial, monkeypatch)
         return [None] * len(configs)
 
     monkeypatch.setattr(sim, "_simulate_trials", recording)
-    all_three, imm_alone = sim.MAX_CYCLE_ROWS // 6, sim.MAX_CYCLE_ROWS // 4
+    all_three = sim.MAX_BATCH_FLOATS // (6 * 16 + 16 * 4)
+    imm_alone = sim.MAX_BATCH_FLOATS // (4 * 16 + 16 * 4)
     for n_trials, names in [(all_three + 5, ESTIMATOR_KEYS), (imm_alone + 1, ("imm",)),
                             (3, ())]:
         assert len(list(run_monte_carlo(preset_trial, n_trials, 1, names))) == n_trials
     assert batches == [all_three, 5, imm_alone, 1, 3]
+    # 100 trials of 16 modes at d = 8 fit, so the acceptance, golden and
+    # benchmark runs (at most 100 trials, s <= 16, d <= 4) stay whole
+    assert _trial_floats(ESTIMATOR_KEYS, 16, 8) * 100 <= sim.MAX_BATCH_FLOATS
+
+    batches.clear()
+    r8 = _random_trial(8, LossStrategy.HOLD, 1, steps=3)
+    assert (r8.chain.s, r8.est_x0.shape[0]) == (256, r8.plant.n + 8)
+    dim = r8.plant.n + 8
+    assert 2 * (256 * dim * dim + 256 * 256 * dim) > sim.MAX_BATCH_FLOATS
+    assert len(list(run_monte_carlo(r8, 3, 1, ("imm",)))) == 3
+    assert batches == [1, 1, 1]
 
 
 @pytest.mark.parametrize(
@@ -757,17 +859,18 @@ def _check_batched_run(cfg, names, n_trials, monkeypatch):
     checked = Counter()
     real = sim._bank_step
 
-    def checking(banks, *args):
-        results = real(banks, *args)
+    def checking(groups, *args):
+        columns = real(groups, *args)
         checked["steps"] += 1
-        for bank, bank_results in zip(banks, results):
-            for est, res in zip(bank, bank_results):
-                assert np.all(res.posterior >= 0.0)
-                assert abs(res.posterior.sum() - 1.0) <= 1e-12
+        for name, ests in groups.items():
+            posteriors = np.reshape(columns[name][2], (len(ests), -1))
+            for est, posterior in zip(ests, posteriors, strict=True):
+                assert np.all(posterior >= 0.0)
+                assert abs(posterior.sum() - 1.0) <= 1e-12
                 for belief in _beliefs(est):
                     belief.validate()
                 checked[est.key] += 1
-        return results
+        return columns
 
     monkeypatch.setattr(sim, "_bank_step", checking)
     records = list(run_monte_carlo(cfg, n_trials, cfg.seed, names))
