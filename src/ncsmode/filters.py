@@ -25,17 +25,17 @@ beliefs (s, d) means with (s, d, d) covariances. The Kalman kernels
 broadcast over such leading axes. Each estimator decides a mode, then runs
 one Kalman cycle (``_cycle``: predict, innovation covariance, update,
 held-input floor) on the mode-table rows its decision selects: the decided
-mode for ``alg1`` and ``alg2``, all s filters for ``imm``. The estimators
-of a batch of trials step in lockstep, one step generator per kind
-(``_alg1_step``, ``_alg2_step``, ``_imm_step``) and one ``_cycle`` per step
-on the stacked rows of all of them, each with its trial's signals; results
-come back as columns over the trials (``_bank_step``). An estimator's own
-``step`` runs its generator for a batch of one (``_lone_step``).
-``alg2_predict``, ``predict_prior``, ``mode_posterior_update_log`` and
-``mode_argmax`` take a leading trial axis; ``alg1`` decides trial by trial,
-whitening by its constant factor inverted once. Each trial gets, bit for
-bit, what it gets alone. ``start`` checks the step-0 signals as ``step``
-checks its own, and must come first.
+mode for ``alg1`` and ``alg2``, all s filters for ``imm``. An estimator's
+state arrays carry lead axes: none online, (T,) for the one object per
+kind that holds a batch of T trials (``_take`` copies rows out of, or
+repeats, a state). One step generator per kind (``_alg1_step``,
+``_alg2_step``, ``_imm_step``) is written once over those axes; a batch's
+kinds step together with one ``_cycle`` per step and return columns over
+the trials (``_bank_step``), and an online ``step`` runs its generator
+alone (``_lone_step``). ``alg1`` decides trial by trial, whitening by its
+constant factor inverted once. Each trial gets, bit for bit, what it gets
+alone. ``start`` checks the step-0 signals as ``step`` checks its own, and
+must come first.
 
 Likelihood handling is done in log-domain with max-subtraction. Two
 robustness devices keep the recursions healthy on top of that:
@@ -64,9 +64,11 @@ robustness devices keep the recursions healthy on top of that:
 
 from __future__ import annotations
 
+import copy
+import functools
+import itertools
 import math
 import statistics
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +79,7 @@ from .model import (
     AugmentedModel,
     LossStrategy,
     ModeSpace,
+    _all_finite,
 )
 
 __all__ = [
@@ -353,13 +356,15 @@ def alg1_predict_output(
     for i in range(arma.n_ar):
         yhat -= arma.a[i] * y_hist[i]
     hold = strategy is LossStrategy.HOLD
-    flags = space.flags
+    flags, drops = space.flags, space.drops  # delivered and lost links, 1 - flags
     for lag in range(1, arma.p + 1):
-        alpha = flags if lag == 1 else flags[mode_hist[lag - 2] - 1]
+        if lag > 1:
+            row = mode_hist[lag - 2] - 1
+            flags, drops = space.flags[row], space.drops[row]
         coeff = arma.b[lag - 1]
-        yhat += _mv(coeff, alpha * u_hist[lag - 1])
+        yhat += _mv(coeff, flags * u_hist[lag - 1])
         if hold:
-            yhat += _mv(coeff, (1.0 - alpha) * uhat_hist[lag - 1])
+            yhat += _mv(coeff, drops * uhat_hist[lag - 1])
     return yhat
 
 
@@ -379,10 +384,9 @@ def alg2_predict(
     """
     u_prev = np.asarray(u_prev, dtype=float)
     ca, cb = aug.output_tables
-    mean, cov = belief.mean, belief.cov
-    if mean.ndim > 1:  # a candidate axis for a stack of beliefs
-        mean, cov, u_prev = mean[..., None, :], cov[..., None, :, :], u_prev[..., None, :]
-    yhat = _mv(ca, mean) + _mv(cb, u_prev)
+    # a candidate axis for the beliefs
+    mean, cov = belief.mean[..., None, :], belief.cov[..., None, :, :]
+    yhat = _mv(ca, mean) + _mv(cb, u_prev[..., None, :])
     sigma = ca @ cov @ _t(ca) + aug._output_process_cov + aug.R
     return yhat, 0.5 * (sigma + _t(sigma))
 
@@ -402,71 +406,100 @@ def _moment_match(weights: np.ndarray, mean: np.ndarray, cov: np.ndarray) -> Gau
     return GaussianBelief._of(mixed, 0.5 * (out + _t(out)))
 
 
-def _transition_array(transition, s: int) -> np.ndarray:
-    mat = transition.P if isinstance(transition, TransitionMatrix) else np.asarray(transition, dtype=float)
-    if mat.shape != (s, s):
-        raise ValueError(f"transition matrix shape {mat.shape} does not match {s} modes")
-    return mat
-
-
-def _initial_belief(dim: int, x0, P0) -> GaussianBelief:
-    mean = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float)
-    cov = np.eye(dim) if P0 is None else np.asarray(P0, dtype=float)
-    return GaussianBelief(mean, cov)
-
-
-def _initial_probs(prior, s: int) -> np.ndarray:
+def _initial_state(transition, prior, s: int, held_cov_floor, dim=None, x0=None, P0=None,
+                   prefix=""):
+    """An estimator's (s, s) mode chain, initial mode probabilities and,
+    given a state dimension ``dim``, initial belief N(x0, P0) as a (dim,)
+    mean and (dim, dim) covariance (zero and identity by default; None
+    without ``dim``). Values that cannot work raise ValueError naming the
+    argument (``prefix`` + "x0" or "P0"): a state or covariance of another
+    size, a non-finite entry, a negative variance, a held-input floor that
+    is negative or not finite."""
+    if not (math.isfinite(held_cov_floor) and held_cov_floor >= 0.0):
+        raise ValueError(f"held_cov_floor must be finite and nonnegative, got {held_cov_floor}")
+    trans = transition.P if isinstance(transition, TransitionMatrix) else np.asarray(
+        transition, dtype=float)
+    if trans.shape != (s, s):
+        raise ValueError(f"transition matrix shape {trans.shape} does not match {s} modes")
     if prior is None:
-        return np.full(s, 1.0 / s)
-    probs = np.array(prior, dtype=float).reshape(-1)
-    if probs.shape[0] != s:
-        raise ValueError(f"prior length {probs.shape[0]} does not match {s} modes")
-    _check_distribution(probs, "prior")
-    return probs
+        probs = np.full(s, 1.0 / s)
+    else:
+        probs = np.array(prior, dtype=float).reshape(-1)
+        if probs.shape[0] != s:
+            raise ValueError(f"prior length {probs.shape[0]} does not match {s} modes")
+        _check_distribution(probs, "prior")
+    if dim is None:
+        return trans, probs, None, None
+    mean = np.zeros(dim) if x0 is None else np.asarray(x0, dtype=float).reshape(-1)
+    cov = np.eye(dim) if P0 is None else np.asarray(P0, dtype=float)
+    if mean.shape != (dim,):
+        raise ValueError(f"{prefix}x0 has {mean.size} entries, expected {dim}")
+    if cov.shape != (dim, dim):
+        raise ValueError(f"{prefix}P0 has shape {cov.shape}, expected ({dim}, {dim})")
+    for name, arr in ((prefix + "x0", mean), (prefix + "P0", cov)):
+        if not _all_finite(arr):
+            raise ValueError(f"{name} must be finite")
+    if np.count_nonzero(cov.diagonal() < 0.0):
+        raise ValueError(f"{prefix}P0 has a negative variance")
+    return trans, probs, mean, cov
 
 
 def _step_signals(est, u, y, m: int, force_mode=None, entry="step"):
     """The (u, y) given to estimator ``est``'s ``entry`` (its ``step``, or its
-    ``start`` with the step-0 signals) as flat float vectors, checked to
-    hold its r inputs and m outputs and to be finite; a forced mode must name
-    one of its s modes."""
-    space = est.space
+    ``start`` with the step-0 signals) as float arrays, L + (r,) inputs and
+    L + (m,) outputs for its state's lead axes L (flat vectors online),
+    checked to hold its r inputs and m outputs and to be finite; a forced
+    mode must name one of its s modes."""
+    space, lead = est.space, est._probs.shape[:-1]
     if force_mode is not None and not 1 <= force_mode <= space.s:
         raise ValueError(f"force_mode {force_mode} outside 1..{space.s}")
-    u = np.asarray(u, dtype=float).reshape(-1)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if u.shape[0] != space.r:
-        raise ValueError(f"{est.key} {entry} input u has {u.shape[0]} entries, expected {space.r}")
-    if y.shape[0] != m:
-        raise ValueError(f"{est.key} {entry} output y has {y.shape[0]} entries, expected {m}")
-    _require_finite(f"{est.key} {entry} inputs", u, y)
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    if u.ndim != len(lead) + 1 or y.ndim != len(lead) + 1:
+        u, y = u.reshape(lead + (-1,)), y.reshape(lead + (-1,))
+    if u.shape[-1] != space.r:
+        raise ValueError(f"{est.key} {entry} input u has {u.shape[-1]} entries, expected {space.r}")
+    if y.shape[-1] != m:
+        raise ValueError(f"{est.key} {entry} output y has {y.shape[-1]} entries, expected {m}")
+    if not (_all_finite(u) and _all_finite(y)):
+        raise NumericalError(f"non-finite values in {est.key} {entry} inputs")
     return u, y
 
 
-def _bank_step(groups, aug, floor, us, ys) -> dict:
-    """One step of a batch of trials' estimators, grouped by name (``groups``
-    maps a name to its estimator of each trial); returns each name's columns.
+def _take(est, index):
+    """A copy of estimator ``est`` that owns rows ``index`` of its state (its
+    lead axes flattened): an int gives an online estimator, an int array a
+    batch. An online state is one row, so ``np.zeros(T, dtype=int)``
+    repeats it over T trials."""
+    new, lead = copy.copy(est), est._probs.shape[:-1]
+    for attr in est._state:
+        arr = getattr(est, attr)
+        if arr is not None:
+            rows = arr.reshape((math.prod(lead),) + arr.shape[len(lead):])
+            setattr(new, attr, np.take(rows, index, axis=0))
+    return new
 
-    The trials step on their own signals, row t of the (T, r) inputs ``us``
-    and of the (T, m) outputs ``ys``, which are checked finite at once (a
-    non-finite row raises, naming no trial), and share one augmented model
-    ``aug``, mode chain and held-input floor. Each name's estimators step as
-    one generator (``_alg1_step``, ``_alg2_step``, ``_imm_step``):
+
+def _bank_step(batch, aug, floor, us, ys) -> dict:
+    """One step of a batch of T trials: ``batch`` maps a name to the one
+    estimator that holds the trials as (T, ...) state; returns each name's
+    columns. The trials share ``aug``, the mode chain and the held-input
+    ``floor``; row t of the (T, r) inputs ``us`` and (T, m) outputs ``ys``
+    is trial t's, checked finite at once (a non-finite row raises, naming no
+    trial). Each estimator steps as one generator (``_alg1_step``,
+    ``_alg2_step``, ``_imm_step``):
 
     1. up to its first yield it decides, committing nothing, and yields
-       ``(rows, belief, u_prev, y)``: None (a mode-only ``alg1``), or its
-       table rows, an int or int array shaped like the belief's leading
-       axes ((T,) rows of (T, d) beliefs for ``alg1`` and ``alg2``, (T, s)
-       rows of (T, s, d) beliefs for ``imm``), with (u_prev, y) that
-       broadcast over those axes;
-    2. it is sent its rows of the one Kalman cycle (``_cycle``) run on all
-       the generators' stacked rows, ``(pred_mean, innov_cov, upd_mean,
-       upd_cov)`` shaped like its rows (None without rows), finishes
-       everything that can raise and yields its columns ``(modes, states,
-       posteriors, logliks, fallbacks)``: (T,) modes, (T, d) full states
-       (None for a mode-only ``alg1``), (T, s) posteriors and
-       log-likelihoods and (T,) flags, unstacked for a batch of one;
-    3. resumed once more, it commits.
+       ``(rows, belief, u_prev, y)``: None (a mode-only ``alg1``), or the
+       mode-table rows of its beliefs ((T,) for the (T, d) beliefs of
+       ``alg1`` and ``alg2``, (s,) for the IMM banks' (T, s, d)) with
+       signals, all broadcasting over the beliefs' leading axes;
+    2. it is sent its part of the one Kalman cycle (``_cycle``) of all the
+       generators' rows, ``(pred_mean, innov_cov, upd_mean, upd_cov)``
+       shaped like its beliefs (None without rows), finishes everything
+       that can raise and yields its columns ``(modes, states, posteriors,
+       logliks, fallbacks)``: (T,) modes, (T, d) full states (None for a
+       mode-only ``alg1``), (T, s) posteriors and log-likelihoods, (T,) flags;
+    3. resumed once more, it commits by replacing or writing whole arrays.
 
     No estimator commits before every generator has yielded its columns, so
     a step that raises leaves every estimator as it was.
@@ -474,20 +507,19 @@ def _bank_step(groups, aug, floor, us, ys) -> dict:
     _require_finite("step inputs", us, ys)
     # looked up at each call, so that a patched generator takes part
     make = {"alg1": _alg1_step, "alg2": _alg2_step, "imm": _imm_step}
-    steps = {name: make[name](aug, ests, us, ys) for name, ests in groups.items()}
-    parts, blocks, n_rows = {}, [], 0
+    steps = {name: make[name](aug, est, us, ys) for name, est in batch.items()}
+    parts, blocks, n_rows = dict.fromkeys(steps), [], 0
     for name, step in steps.items():
         rows, belief, u_prev, y = next(step)
         if rows is None:
-            parts[name] = None
             continue
-        rows, d = np.asarray(rows), belief.mean.shape[-1]
-        lead, size = rows.shape, rows.size
+        lead, d = belief.mean.shape[:-1], belief.mean.shape[-1]
+        size = math.prod(lead)
         parts[name] = slice(n_rows, n_rows + size), lead
         n_rows += size
-        # each signal as one row per table row
-        u_prev, y = (a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:])
-                     for a in (u_prev, y))
+        # the rows and signals, one entry per belief
+        rows, u_prev, y = (a if a.shape[:-1] == lead else np.broadcast_to(a, lead + a.shape[-1:])
+                           for a in (np.asarray(rows)[..., None], u_prev, y))
         blocks.append((rows.reshape(size), belief.mean.reshape(size, d),
                        belief.cov.reshape(size, d, d), u_prev.reshape(size, -1),
                        y.reshape(size, -1)))
@@ -518,9 +550,9 @@ def _cycle(aug, floor, rows, belief, u_prev, y):
 
 
 def _lone_step(step, aug, floor) -> StepResult:
-    """Run one step generator of ``_bank_step``'s protocol for a batch of one,
-    with a Kalman cycle of its own rows alone; returns its columns as a
-    StepResult."""
+    """Run one step generator of ``_bank_step``'s protocol for an online
+    estimator, with a Kalman cycle of its own rows alone; returns its
+    columns as a StepResult."""
     rows, belief, u_prev, y = next(step)
     mode, state, posterior, loglik, fallback = step.send(
         None if rows is None else _cycle(aug, floor, rows, belief, u_prev, y))
@@ -528,37 +560,40 @@ def _lone_step(step, aug, floor) -> StepResult:
     return StepResult(int(mode), state, posterior.copy(), loglik, bool(fallback))
 
 
-def _stacked_beliefs(ests) -> GaussianBelief:
-    """The (d,) beliefs of T > 1 estimators as one (T, d) belief."""
-    return GaussianBelief._of(np.array([est._belief.mean for est in ests]),
-                              np.array([est._belief.cov for est in ests]))
+@functools.lru_cache
+def _lead_index(lead):
+    """Each trial's index into state with lead axes ``lead``, then the older,
+    newer and newest entries of a history (lag axis after the lead axes)."""
+    trials = (slice(None),) * len(lead)
+    return (tuple(itertools.product(*map(range, lead))), trials + (slice(1, None),),
+            trials + (slice(-1),), trials + (0,))
 
 
-def _alg1_step(aug, ests, us, ys, force_mode=None):
-    """One step of T trials' ``alg1`` estimators (``Alg1Estimator``) on their
-    signals ``us[t]``, ``ys[t]``: each trial decides on its own histories,
-    then the decided rows of their stacked (T, d) beliefs ride the Kalman
-    cycle, as ``alg2``'s do (none for mode-only estimators; ``aug`` is
-    unused). A step generator of ``_bank_step``, like ``_alg2_step``. The
-    estimators share their strategy, and all or none tracks a state."""
-    hold = ests[0].strategy is LossStrategy.HOLD
-    decisions = []
-    for est, y in zip(ests, ys):
-        yhat = alg1_predict_output(
-            est.arma, est.strategy, est.space,
-            est._y_hist, est._u_hist, est._uhat_hist, est._mode_hist,
-        )
-        maha = np.add.reduce(np.square((y - yhat) @ est._white), axis=-1)  # squared distances
+def _alg1_step(aug, est, us, ys, force_mode=None):
+    """One step of an ``Alg1Estimator`` whose state has lead axes L (none
+    online, (T,) for a batch) on inputs ``us`` (L + (r,)) and outputs ``ys``
+    (L + (m,)): each trial decides on its own histories, then the decided
+    rows of the L + (d,) beliefs ride the Kalman cycle, as ``alg2``'s do
+    (none for a mode-only estimator; ``aug`` is unused). A step generator
+    of ``_bank_step``, like ``_alg2_step``."""
+    hold, space, lead = est.strategy is LossStrategy.HOLD, est.space, est._probs.shape[:-1]
+    probs, loglik = np.empty(est._probs.shape), np.empty(est._probs.shape)
+    modes, memory, fallback = np.empty(lead, int), np.empty(lead, int), np.empty(lead, bool)
+    uhat = np.empty(lead + (space.r,))
+    index, older, newer, newest = _lead_index(lead)
+    for i in index:
+        u_rows, uhat_rows = est._u_hist[i], est._uhat_hist[i]
+        yhat = alg1_predict_output(est.arma, est.strategy, space, est._y_hist[i], u_rows,
+                                   uhat_rows, est._mode_hist[i])
+        maha = np.add.reduce(np.square((ys[i] - yhat) @ est._white), axis=-1)  # squared distances
         if not math.isfinite(np.maximum.reduce(maha)):  # NaN, or a residual too large to square
             raise NumericalError("NaN log-likelihood")
-        loglik = -0.5 * (est.arma.m * LOG_2PI + maha) - est._log_det_half
+        loglik[i] = row_loglik = -0.5 * (est._log_norm + maha) - est._log_det_half
         gated = np.minimum.reduce(maha) > est._gate_d2
-        prior = predict_prior(est._probs, est._P)
-        if gated:
-            probs, fallback = prior, True
-        else:
-            probs, fallback = mode_posterior_update_log(prior, loglik)
-        mode = mode_argmax(probs) if force_mode is None else force_mode
+        prior = predict_prior(est._probs[i], est._P)
+        row_probs, flag = (prior, True) if gated else mode_posterior_update_log(prior, row_loglik)
+        probs[i], fallback[i] = row_probs, flag
+        modes[i] = mode = row_probs.argmax() + 1 if force_mode is None else force_mode
 
         # memory entries: the decided mode normally. On a fallback step the
         # hold strategy re-anchors to the all-deliver mode, whose signals
@@ -566,116 +601,85 @@ def _alg1_step(aug, ests, us, ys, force_mode=None):
         # keeps the best-fitting candidate instead, since an anchor that is
         # wrong (all-deliver is rare with several links) makes the next
         # prediction wrong and the gate fire again
-        if not fallback:
+        if not flag:
             memory_mode = mode
         elif gated and not hold:
-            memory_mode = int(loglik.argmax()) + 1
+            memory_mode = row_loglik.argmax() + 1
         else:
-            memory_mode = est.space.s
-        uhat = None
+            memory_mode = space.s
+        memory[i] = memory_mode
         if hold:
-            if fallback:
-                uhat = est._u_hist[0].copy()
-            else:
-                alpha = est.space.flags[memory_mode - 1]
-                uhat = alpha * est._u_hist[0] + (1.0 - alpha) * est._uhat_hist[0]
-        decisions.append((mode, probs, loglik, fallback, memory_mode, uhat))
-    if len(ests) == 1:
-        (est,), rows = ests, lambda a: [a]
-        ((mode, probs, loglik, fallback, _, _),) = decisions
-        belief, last_u, y = est._belief, est._u_hist[0], ys[0]
-    else:
-        rows = list
-        mode, probs, loglik, fallback = (np.array(column) for column in list(zip(*decisions))[:4])
-        belief = None if ests[0]._kf is None else _stacked_beliefs(ests)
-        last_u, y = np.array([est._u_hist[0] for est in ests]), np.array(ys)
-    cycle = yield (None if belief is None else mode - 1), belief, last_u, y
-    yield mode, None if cycle is None else cycle[2], probs, loglik, fallback
+            alpha, drop = space.flags[memory_mode - 1], space.drops[memory_mode - 1]
+            uhat[i] = u_rows[0] if flag else alpha * u_rows[0] + drop * uhat_rows[0]
+    modes, fallback = modes[()], fallback[()]  # scalars online, cheaper than 0-d arrays
+    belief = None if est._mean is None else GaussianBelief._of(est._mean, est._cov)
+    cycle = yield (None if belief is None else modes - 1), belief, est._u_hist[newest], ys
+    yield modes, None if cycle is None else cycle[2], probs, loglik, fallback
 
-    means, covs = ([None] * len(ests),) * 2 if cycle is None else (rows(cycle[2]), rows(cycle[3]))
-    for est, u, y, decision, mean, cov in zip(ests, us, ys, decisions, means, covs):
-        _, est._probs, _, _, memory_mode, uhat = decision
-        if hold:
-            est._uhat_hist.appendleft(uhat)
-        if est.arma.p > 1:
-            est._mode_hist.appendleft(memory_mode)
-        if cycle is not None:
-            est._belief = GaussianBelief._of(mean, cov)
-        est._y_hist.appendleft(y)
-        est._u_hist.appendleft(u)
+    est._probs = probs
+    if cycle is not None:
+        est._mean, est._cov = cycle[2], cycle[3]
+    # the histories move one step back, the new entry first
+    for hist, new in ((est._y_hist, ys), (est._u_hist, us),
+                      (est._uhat_hist, uhat if hold else None),
+                      (est._mode_hist, memory if est.arma.p > 1 else None)):
+        if new is not None:
+            hist[older] = hist[newer]
+            hist[newest] = new
 
 
-def _alg2_step(aug, ests, us, ys, force_mode=None):
-    """One step of T trials' ``alg2`` estimators (``Alg2Estimator``) on their
-    signals ``us[t]``, ``ys[t]``: one candidate prediction from their stacked
-    (T, d) beliefs, one Cholesky scoring of the (T, s) candidates, one prior,
-    posterior update and argmax (a single trial's arrays are used
-    unstacked). As a step generator of ``_bank_step`` it yields each trial's
-    decided table row with its belief, previous input and measurement, then
-    its columns. ``force_mode`` replaces the decision of a single trial. The
-    estimators share ``aug`` and their mode chain, and each trial gets, bit
-    for bit, the numbers it gets alone."""
-    if len(ests) == 1:
-        (est,), rows = ests, lambda a: [a]
-        belief, last_u, prior, y = est._belief, est._last_u, est._probs, ys[0]
-    else:
-        rows, belief = list, _stacked_beliefs(ests)
-        last_u, prior, y = (np.array(arrays) for arrays in (
-            [est._last_u for est in ests], [est._probs for est in ests], ys))
-    yhat, sigma = alg2_predict(aug, belief, last_u)
+def _alg2_step(aug, est, us, ys, force_mode=None):
+    """One step of an ``Alg2Estimator`` whose state has lead axes L (none
+    online, (T,) for a batch) on inputs ``us`` (L + (r,)) and outputs ``ys``
+    (L + (m,)): one candidate prediction from the L + (d,) beliefs, one
+    Cholesky scoring of the L + (s,) candidates, one prior, posterior update
+    and argmax. As a step generator of ``_bank_step`` it yields each trial's
+    decided table row with its belief and signals, then its columns.
+    ``force_mode`` replaces the decision. Every product stacks per-trial
+    matrix products and every reduction runs along a row, so each trial
+    gets, bit for bit, the numbers it gets alone."""
+    belief = GaussianBelief._of(est._mean, est._cov)
+    yhat, sigma = alg2_predict(aug, belief, est._last_u)
     chol = _cholesky(sigma)
-    loglik = _chol_logpdf(y[..., None, :] - yhat, chol, _log_det_half(chol))
-    probs, fallback = mode_posterior_update_log(predict_prior(prior, ests[0]._P), loglik)
+    loglik = _chol_logpdf(ys[..., None, :] - yhat, chol, _log_det_half(chol))
+    probs, fallback = mode_posterior_update_log(predict_prior(est._probs, est._P), loglik)
     mode = mode_argmax(probs) if force_mode is None else force_mode
 
-    _, _, mean, cov = yield mode - 1, belief, last_u, y
+    _, _, mean, cov = yield mode - 1, belief, est._last_u, ys
     yield mode, mean, probs, loglik, fallback
 
-    for est, u, p, new_mean, new_cov in zip(ests, us, rows(probs), rows(mean), rows(cov)):
-        est._probs, est._belief, est._last_u = p, GaussianBelief._of(new_mean, new_cov), u
+    est._probs, est._mean, est._cov, est._last_u = probs, mean, cov, us
 
 
-def _imm_step(aug, imms, us, ys):
-    """One step of T trials' IMMs (``ImmEstimator``) on their signals
-    ``us[t]``, ``ys[t]``: one prior, mixing, scoring, posterior update and
-    combination over their stacked (T, s) arrays (a single trial's are used
-    unstacked). As a step generator of ``_bank_step`` it yields every table
-    row of every trial, the mixed filters and each trial's (u_prev, y) with
-    a unit axis that broadcasts over them, then its columns. The IMMs share
-    ``aug`` and their mode chain. Every product stacks per-trial matrix
-    products and every reduction runs along a row, so each trial gets, bit
-    for bit, the numbers it gets alone."""
-    first, trans = imms[0], imms[0]._P
-    # T > 1 trials' arrays stack on a leading axis, and their rows are the
-    # trials' own; a single trial's arrays are used as they are
-    stack, rows = (np.array, list) if len(imms) > 1 else (lambda a: a[0], lambda a: [a])
-    mu = stack([imm._mu for imm in imms])
-    # mixing weights W[t, j, i] = P[i, j] mu_ti / prior_tj of filter i into
-    # filter j; an unreachable target (prior_tj = 0) keeps its own state
+def _imm_step(aug, est, us, ys):
+    """One step of an ``ImmEstimator`` whose state has lead axes L (none
+    online, (T,) for a batch) on inputs ``us`` (L + (r,)) and outputs ``ys``
+    (L + (m,)): one prior, mixing, scoring, posterior update and combination
+    over its L + (s,) arrays. As a step generator of ``_bank_step`` it
+    yields every table row, the mixed filters and each trial's (u_prev, y)
+    with a unit axis that broadcasts over them, then its columns. Every
+    product stacks per-trial matrix products and every reduction runs along
+    a row, so each trial gets, bit for bit, the numbers it gets alone."""
+    trans, mu = est._P, est._probs
+    # mixing weights W[..., j, i] = P[i, j] mu_i / prior_j of filter i into
+    # filter j; an unreachable target (prior_j = 0) keeps its own state
     prior = predict_prior(mu, trans)
     reach = prior > 0.0
     weights = trans.T * mu[..., None, :] / np.where(reach, prior, 1.0)[..., None]
-    weights = np.where(reach[..., None], weights, first._eye)
-    mixed = _moment_match(weights, stack([imm._means for imm in imms]),
-                          stack([imm._covs for imm in imms]))
-    last_u, y = stack([imm._last_u for imm in imms])[..., None, :], stack(ys)[..., None, :]
-    table_rows = np.arange(prior.shape[-1])
-    if len(imms) > 1:
-        table_rows = np.broadcast_to(table_rows, prior.shape)
+    weights = np.where(reach[..., None], weights, est._eye)
+    mixed = _moment_match(weights, est._means, est._covs)
+    y, table_rows = ys[..., None, :], np.arange(prior.shape[-1])
 
-    pred_mean, innov_cov, upd_mean, upd_cov = yield table_rows, mixed, last_u, y
+    pred_mean, innov_cov, upd_mean, upd_cov = yield table_rows, mixed, est._last_u[..., None, :], y
     chol = _cholesky(0.5 * (innov_cov + _t(innov_cov)))
     loglik = _chol_logpdf(y - _mv(aug.C, pred_mean), chol, _log_det_half(chol))
     mu, fallback = mode_posterior_update_log(prior, loglik)
     combined = _moment_match(mu[..., None, :], upd_mean, upd_cov)
-    state, state_cov = combined.mean[..., 0, :], combined.cov[..., 0, :, :]
+    state = combined.mean[..., 0, :]
     yield mode_argmax(mu), state, mu, loglik, fallback
 
-    for imm, means, covs, probs, u, mean, cov in zip(
-        imms, rows(upd_mean), rows(upd_cov), rows(mu), us, rows(state), rows(state_cov)
-    ):
-        imm._means, imm._covs, imm._mu, imm._last_u = means, covs, probs, u
-        imm._combined = mean, cov
+    est._means, est._covs, est._probs, est._last_u = upd_mean, upd_cov, mu, us
+    est._combined_mean, est._combined_cov = state, combined.cov[..., 0, :, :]
 
 
 class Alg1Estimator:
@@ -701,6 +705,7 @@ class Alg1Estimator:
     """
 
     key = "alg1"
+    _state = ("_probs", "_mean", "_cov", "_y_hist", "_u_hist", "_uhat_hist", "_mode_hist")
 
     def __init__(
         self,
@@ -717,29 +722,30 @@ class Alg1Estimator:
         self.arma = arma
         self.strategy = strategy
         self.space = ModeSpace(arma.r)
-        self._P = _transition_array(transition, self.space.s)
-        self._probs = _initial_probs(prior, self.space.s)
+        dim = None
+        if kf_model is not None:
+            if kf_model.strategy is not strategy:
+                raise ValueError("kf_model strategy does not match the estimator")
+            if (kf_model.space.r, kf_model.plant.m) != (arma.r, arma.m):
+                raise ValueError(f"kf_model has r = {kf_model.space.r}, m = {kf_model.plant.m}; "
+                                 f"the ARMA model has r = {arma.r}, m = {arma.m}")
+            dim = kf_model.state_dim
+        self._P, self._probs, self._mean, self._cov = _initial_state(
+            transition, prior, self.space.s, held_cov_floor, dim, kf_x0, kf_P0, prefix="kf_")
+        self._kf = kf_model
         self._held_cov_floor = held_cov_floor
         self._gate_d2 = (
             math.inf if gate_pvalue is None else _chi2_upper_quantile(arma.m, gate_pvalue)
         )
 
         chol = _cholesky(alg1_const_sigma(arma))
+        self._log_norm = arma.m * LOG_2PI
         self._log_det_half = float(_log_det_half(chol))
         self._white = _t(np.linalg.inv(chol))  # residual rows whiten as diff @ white
 
-        p, r = arma.p, arma.r
-        self._y_hist: deque | None = None  # with _u_hist, set by start()
-        self._u_hist: deque | None = None
-        self._uhat_hist: deque = deque([np.zeros(r)] * p, maxlen=max(p, 1))
-        self._mode_hist: deque = deque([self.space.s] * (p - 1), maxlen=max(p - 1, 1))
-
-        self._kf = kf_model
-        self._belief: GaussianBelief | None = None
-        if kf_model is not None:
-            if kf_model.strategy is not strategy:
-                raise ValueError("kf_model strategy does not match the estimator")
-            self._belief = _initial_belief(kf_model.state_dim, kf_x0, kf_P0)
+        self._y_hist = self._u_hist = None  # (..., n_ar, m) and (..., p, r), set by start()
+        self._uhat_hist = np.zeros((max(arma.p, 1), arma.r))
+        self._mode_hist = np.full(max(arma.p - 1, 0), self.space.s)
 
     @property
     def posterior(self) -> np.ndarray:
@@ -747,15 +753,15 @@ class Alg1Estimator:
 
     @property
     def belief(self) -> GaussianBelief | None:
-        return self._belief
+        return None if self._mean is None else GaussianBelief._of(self._mean, self._cov)
 
     def start(self, u0, y0) -> None:
         """Record the step-0 signals before the first estimation step; the
         histories further back are zero."""
         u0, y0 = _step_signals(self, u0, y0, self.arma.m, entry="start")
-        n, p = self.arma.n_ar, self.arma.p
-        self._y_hist = deque([y0] + [np.zeros_like(y0)] * (n - 1), maxlen=max(n, 1))
-        self._u_hist = deque([u0] + [np.zeros_like(u0)] * (p - 1), maxlen=max(p, 1))
+        self._y_hist = np.zeros(y0.shape[:-1] + (max(self.arma.n_ar, 1), self.arma.m))
+        self._u_hist = np.zeros(u0.shape[:-1] + (max(self.arma.p, 1), self.arma.r))
+        self._y_hist[..., 0, :], self._u_hist[..., 0, :] = y0, u0
 
     def step(self, u, y, force_mode: int | None = None) -> StepResult:
         """Estimate the previous step's mode from the newest output.
@@ -767,7 +773,7 @@ class Alg1Estimator:
         if self._u_hist is None:
             raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.arma.m, force_mode)
-        return _lone_step(_alg1_step(self._kf, [self], [u], [y], force_mode), self._kf,
+        return _lone_step(_alg1_step(self._kf, self, u, y, force_mode), self._kf,
                           self._held_cov_floor)
 
 
@@ -777,11 +783,12 @@ class Alg2Estimator:
     Candidate output predictions come from a single Kalman filter's belief,
     and the decided mode selects the system matrices for that filter's next
     cycle, so mode and state estimates are produced together and cannot be
-    separated. The ``alg2`` estimators of a batch of trials step together
-    (``_alg2_step``); ``step`` runs a batch of one.
+    separated. One estimator holds a batch of trials as (T, ...) state
+    (``_alg2_step``); ``step`` runs an online one.
     """
 
     key = "alg2"
+    _state = ("_probs", "_mean", "_cov", "_last_u")
 
     def __init__(
         self,
@@ -794,10 +801,9 @@ class Alg2Estimator:
     ):
         self.aug = aug
         self.space = aug.space
-        self._P = _transition_array(transition, self.space.s)
-        self._probs = _initial_probs(prior, self.space.s)
+        self._P, self._probs, self._mean, self._cov = _initial_state(
+            transition, prior, self.space.s, held_cov_floor, aug.state_dim, x0, P0)
         self._held_cov_floor = held_cov_floor
-        self._belief = _initial_belief(aug.state_dim, x0, P0)
         self._last_u: np.ndarray | None = None
 
     @property
@@ -806,7 +812,7 @@ class Alg2Estimator:
 
     @property
     def belief(self) -> GaussianBelief:
-        return self._belief
+        return GaussianBelief._of(self._mean, self._cov)
 
     def start(self, u0, y0) -> None:
         self._last_u, _ = _step_signals(self, u0, y0, self.aug.plant.m, entry="start")
@@ -815,7 +821,7 @@ class Alg2Estimator:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.aug.plant.m, force_mode)
-        return _lone_step(_alg2_step(self.aug, [self], [u], [y], force_mode), self.aug,
+        return _lone_step(_alg2_step(self.aug, self, u, y, force_mode), self.aug,
                           self._held_cov_floor)
 
 
@@ -827,11 +833,12 @@ class ImmEstimator:
     newest measurement, reweights the model probabilities by the innovation
     likelihoods, and moment-matches a combined Gaussian. The model
     probabilities stand in for the mode posterior; the state is its mean.
-    The IMMs of a batch of trials step together (``_imm_step``); ``step``
-    runs a batch of one.
+    One IMM holds a batch of trials as (T, ...) state (``_imm_step``);
+    ``step`` runs an online one.
     """
 
     key = "imm"
+    _state = ("_probs", "_means", "_covs", "_last_u", "_combined_mean", "_combined_cov")
 
     def __init__(
         self,
@@ -844,19 +851,19 @@ class ImmEstimator:
     ):
         self.aug = aug
         self.space = aug.space
-        self._P = _transition_array(transition, self.space.s)
-        self._mu = _initial_probs(prior, self.space.s)
+        s = self.space.s
+        self._P, self._probs, mean, cov = _initial_state(
+            transition, prior, s, held_cov_floor, aug.state_dim, x0, P0)
         self._held_cov_floor = held_cov_floor
-        init, s = _initial_belief(aug.state_dim, x0, P0), self.space.s
         # the bank's beliefs, row j-1 for mode j
-        self._means, self._covs = np.tile(init.mean, (s, 1)), np.tile(init.cov, (s, 1, 1))
+        self._means, self._covs = np.tile(mean, (s, 1)), np.tile(cov, (s, 1, 1))
         self._eye = np.eye(s)
-        self._combined: tuple | None = None  # its mean and covariance
+        self._combined_mean = self._combined_cov = None  # set by step()
         self._last_u: np.ndarray | None = None
 
     @property
     def posterior(self) -> np.ndarray:
-        return self._mu.copy()
+        return self._probs.copy()
 
     @property
     def beliefs(self) -> list[GaussianBelief]:
@@ -865,7 +872,8 @@ class ImmEstimator:
     @property
     def combined_belief(self) -> GaussianBelief | None:
         """Moment-matched combination of the filter bank (after a step)."""
-        return None if self._combined is None else GaussianBelief._of(*self._combined)
+        return None if self._combined_mean is None else GaussianBelief._of(
+            self._combined_mean, self._combined_cov)
 
     def start(self, u0, y0) -> None:
         self._last_u, _ = _step_signals(self, u0, y0, self.aug.plant.m, entry="start")
@@ -874,5 +882,4 @@ class ImmEstimator:
         if self._last_u is None:
             raise RuntimeError("call start() with the step-0 signals first")
         u, y = _step_signals(self, u, y, self.aug.plant.m)
-        return _lone_step(_imm_step(self.aug, [self], [u], [y]), self.aug,
-                          self._held_cov_floor)
+        return _lone_step(_imm_step(self.aug, self, u, y), self.aug, self._held_cov_floor)

@@ -111,7 +111,7 @@ def predict_prior(posterior, transition) -> np.ndarray:
     gives one prior per row.
     """
     probs = np.asarray(posterior, dtype=float)
-    if probs.ndim != 2:
+    if not 1 <= probs.ndim <= 2:
         probs = probs.reshape(-1)
     mat = transition.P if isinstance(transition, TransitionMatrix) else np.asarray(transition)
     if probs.shape[-1] != mat.shape[0]:

@@ -223,6 +223,11 @@ class ModeSpace:
         """Read-only (s, r) table of link flags; row j-1 holds mode j's."""
         return _read_only((np.arange(self.s)[:, None] >> np.arange(self.r) & 1).astype(float))
 
+    @cached_property
+    def drops(self) -> np.ndarray:
+        """Read-only (s, r) table 1 - flags: row j-1 marks the links mode j loses."""
+        return _read_only(1.0 - self.flags)
+
     def decode(self, j: int) -> np.ndarray:
         """Link flags (alpha_1..alpha_r) for mode j, as a float 0/1 vector."""
         self.check(j)
@@ -311,7 +316,7 @@ class AugmentedModel:
         if self.strategy is LossStrategy.ZERO:
             a_tab = np.repeat(plant.A[None], s, axis=0)
         else:
-            held = 1.0 - flags
+            held = self.space.drops[:, None, :]
             a_tab = np.zeros((s, n + r, n + r))
             a_tab[:, :n, :n] = plant.A
             a_tab[:, :n, n:] = plant.B * held + 0.0

@@ -8,12 +8,12 @@ measured outputs. :func:`replay_estimators` runs the same estimator loop on
 recorded signals, so the estimators read only ``(u, y)`` by construction.
 A Monte Carlo run splits its trials into batches, run in this process or
 by a pool of worker processes. A batch draws its truths in lockstep, then
-its estimators step in lockstep by kind, with one step of each kind for
-all the trials and one stacked Kalman cycle per step for all of them
-(``alg1`` decides trial by trial inside its step), and each kind's results
-are written as columns into the batch's arrays; each record equals the one
-its trial gives alone. Every entry point refuses an unknown or repeated
-estimator name.
+builds one estimator per selected name that holds all its trials as
+arrays; each step runs every name once for all the trials, with one
+stacked Kalman cycle (``alg1`` decides trial by trial inside its step),
+and writes each name's results as columns into the batch's arrays; each
+record equals the one its trial gives alone. Every entry point refuses an
+unknown or repeated estimator name.
 
 Randomness is fully determined by the trial seed. Four independent
 sub-streams (mode sampling, process noise, measurement noise, inputs) are
@@ -40,6 +40,7 @@ from .filters import (
     NumericalError,
     _bank_step,
     _mv,
+    _take,
 )
 # sample_next draws no truth, but the benchmark's tracer patches it here by name
 from .markov import TransitionMatrix, _check_distribution, sample_next, stationary_distribution
@@ -315,20 +316,20 @@ def _run_estimators(cfg: TrialConfig, names, aug, us, ys):
 
     ``us`` and ``ys`` stack the trials' issued inputs (T, N+1, r) and
     measured outputs (T, N+1, m); the trials share ``cfg`` but for their
-    signals. Each trial's estimators are started on (u_0, y_0); then every
-    step runs them all, grouped by name, through one ``_bank_step`` on their
-    (u_k, y_k) rows, and writes each name's columns into the batch's arrays.
-    Returns modes (T, N), states (T, N, n) and fallbacks (T, N) per name,
-    aligned as in a TrialRecord (each trial's filled up to its failure), and
-    per trial None or its first numerical failure as (step, reason,
-    exception).
+    signals. Each selected estimator is built once and its state repeated
+    over the trials (``_take``): one object per name holds the batch. They
+    start on the (u_0, y_0) rows, and every step runs them through one
+    ``_bank_step`` on the (u_k, y_k) rows and writes each name's columns
+    into (T, N, ·) arrays. Returns modes (T, N), states (T, N, n) and
+    fallbacks (T, N) per name, aligned as in a TrialRecord (each trial's
+    filled up to its failure), and per trial None or its first numerical
+    failure as (step, reason, exception).
 
-    A batched step that raises commits nothing, so it is re-run one way:
-    each trial's estimators step alone (``step``), in selection order. Every
-    row of a batched step is computed as it is alone, so a trial's failure,
-    and the results of the estimators ahead of the one that fails, are those
-    of stepping each estimator of that trial alone. A failed trial leaves
-    the batch; the rest go on.
+    A batched step that raises commits nothing. Each trial then steps alone
+    on a copy of its rows, name by name in selection order, which gives its
+    failure and the results of the estimators ahead of the failing one,
+    since every row of a batched step is computed as it is alone. The
+    batch keeps the surviving trials' rows and steps them again.
     """
     n_trials, nsteps, n = us.shape[0], us.shape[1] - 1, cfg.plant.n
     floor = DEFAULT_HELD_COV_FLOOR if cfg.held_cov_floor is None else cfg.held_cov_floor
@@ -343,34 +344,34 @@ def _run_estimators(cfg: TrialConfig, names, aug, us, ys):
         arma = None
         if "alg1" in names:
             arma = cfg.arma if cfg.arma is not None else ss_to_arma(cfg.plant)
-        banks = [_build_estimators(cfg, names, aug, floor, arma) for _ in range(n_trials)]
+        built = _build_estimators(cfg, names, aug, floor, arma)
     except (NumericalError, np.linalg.LinAlgError) as exc:
         return modes, states, fallbacks, [(0, str(exc), exc)] * n_trials
-    for bank, u, y in zip(banks, us, ys):
-        for est in bank.values():
-            est.start(u[0], y[0])
+    batch = {name: _take(est, np.zeros(n_trials, dtype=int)) for name, est in built.items()}
+    for est in batch.values():
+        est.start(us[:, 0], ys[:, 0])
     active = np.arange(n_trials)
-    groups = {name: [bank[name] for bank in banks] for name in names}
     for k in range(1, nsteps + 1):
         if not active.size:
             break
         u_k, y_k = us[active, k], ys[active, k]
         try:
-            columns = _bank_step(groups, aug, floor, u_k, y_k)
+            columns = _bank_step(batch, aug, floor, u_k, y_k)
         except (NumericalError, np.linalg.LinAlgError):
-            for t, u, y in zip(active, u_k, y_k):
-                for name in names:
+            for row, (t, u, y) in enumerate(zip(active, u_k, y_k)):
+                for name, est in batch.items():
                     try:
-                        res = banks[t][name].step(u, y)
+                        res = _take(est, row).step(u, y)
                     except (NumericalError, np.linalg.LinAlgError) as exc:
                         failures[t] = k, f"{name}: {exc}", exc
                         break
                     modes[name][t, k - 1] = res.mode
                     states[name][t, k - 1] = res.state[:n]
                     fallbacks[name][t, k - 1] = res.fallback
-            active = np.array([t for t in active if failures[t] is None], dtype=int)
-            groups = {name: [banks[t][name] for t in active] for name in names}
-            continue
+            keep = [row for row, t in enumerate(active) if failures[t] is None]
+            batch = {name: _take(est, keep) for name, est in batch.items()}
+            active, u_k, y_k = active[keep], u_k[keep], y_k[keep]
+            columns = _bank_step(batch, aug, floor, u_k, y_k) if keep else {}
         for name, (mode, state, _, _, fallback) in columns.items():
             modes[name][active, k - 1] = mode
             states[name][active, k - 1] = state[..., :n]

@@ -334,6 +334,40 @@ def test_mode_posterior_type_validation():
         Alg1Estimator(ss_to_arma(plant), LossStrategy.ZERO, chain, prior=[0.5, 0.4])
 
 
+@pytest.mark.parametrize("kind, kwargs, message", [
+    ("alg2", dict(x0=np.zeros(2), P0=np.eye(2)), "x0 has 2 entries, expected 4"),
+    ("imm", dict(x0=np.zeros(2), P0=np.eye(2)), "x0 has 2 entries, expected 4"),
+    ("alg2", dict(P0=np.eye(2)), "P0 has shape (2, 2), expected (4, 4)"),
+    ("alg2", dict(x0=np.full(4, np.nan)), "x0 must be finite"),
+    ("imm", dict(P0=np.full((4, 4), np.inf)), "P0 must be finite"),
+    ("imm", dict(P0=-np.eye(4)), "P0 has a negative variance"),
+    ("alg2", dict(held_cov_floor=np.nan), "held_cov_floor must be finite and nonnegative, got nan"),
+    ("imm", dict(held_cov_floor=-1.0), "held_cov_floor must be finite and nonnegative, got -1.0"),
+    ("alg1", dict(kf_x0=np.full(4, np.nan)), "kf_x0 must be finite"),
+    ("alg1", dict(kf_P0=np.eye(3)), "kf_P0 has shape (3, 3), expected (4, 4)"),
+    ("alg1", dict(held_cov_floor=-1.0), "held_cov_floor must be finite and nonnegative, got -1.0"),
+    ("alg1", dict(kf_links=1), "kf_model has r = 1, m = 2; the ARMA model has r = 2, m = 2"),
+])
+def test_estimators_refuse_initial_values_that_cannot_work(cstr_plant, cstr_chain, kind, kwargs,
+                                                          message):
+    """An initial state, covariance or held-input floor that no step could
+    use, and a Kalman model for alg1 with other links than its ARMA model,
+    raise ValueError at construction, naming the argument and the size
+    expected; they would otherwise fail at a later step, or, for a negative
+    floor, silently disable it."""
+    aug = build_augmented(cstr_plant, LossStrategy.HOLD)
+    with pytest.raises(ValueError, match=_exactly(message)):
+        if kind == "alg1":
+            kwargs = dict(kwargs)
+            if kwargs.pop("kf_links", 2) == 1:
+                one_link = dataclasses.replace(cstr_plant, B=cstr_plant.B[:, :1])
+                aug = build_augmented(one_link, LossStrategy.HOLD)
+            Alg1Estimator(ss_to_arma(cstr_plant), LossStrategy.HOLD, cstr_chain,
+                          kf_model=aug, **kwargs)
+        else:
+            (Alg2Estimator if kind == "alg2" else ImmEstimator)(aug, cstr_chain, **kwargs)
+
+
 def test_mode_argmax_tie_breaks():
     assert mode_argmax([0.1, 0.7, 0.1, 0.1]) == 2
     assert mode_argmax([0.25, 0.25, 0.25, 0.25]) == 1

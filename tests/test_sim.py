@@ -383,17 +383,18 @@ def _final_beliefs(est):
 
 
 def _bank_trial(cfg, names, monkeypatch):
-    """simulate_trial, and the estimators its bank stepped."""
-    real, built = sim._build_estimators, []
+    """simulate_trial, and the estimators of its batch of one that its last
+    bank step ran (name -> estimator holding the trial as a row)."""
+    real, batches = sim._bank_step, []
 
-    def build(*args):
-        built.append(real(*args))
-        return built[-1]
+    def step(batch, *args):
+        batches.append(batch)
+        return real(batch, *args)
 
-    monkeypatch.setattr(sim, "_build_estimators", build)
+    monkeypatch.setattr(sim, "_bank_step", step)
     with np.errstate(over="ignore", invalid="ignore"):
         rec = simulate_trial(cfg, names)
-    return rec, built[0] if built else {}
+    return rec, batches[-1] if batches else {}
 
 
 def _assert_same_estimates(rec, names, modes, states, fallbacks):
@@ -422,7 +423,9 @@ def test_bank_step_equals_one_estimator_at_a_time(preset_trial, plant, names, mo
     _assert_same_estimates(rec, names, modes, states, fallbacks)
     assert tuple(bank) == names
     for name in names:
-        for got, want in zip(_final_beliefs(bank[name]), _final_beliefs(alone[name]), strict=True):
+        assert bank[name].posterior.shape[0] == 1
+        for got, want in zip(_final_beliefs(filters._take(bank[name], 0)),
+                             _final_beliefs(alone[name]), strict=True):
             assert np.array_equal(got, want), name
 
 
@@ -485,81 +488,83 @@ def _late_failure(make_step):
     return step
 
 
-def _grouped(banks, names=ESTIMATOR_KEYS):
-    """Trials' banks (name -> estimator) as ``_bank_step`` takes them: each
-    name's estimator of every trial."""
-    return {name: [bank[name] for bank in banks] for name in names}
-
-
 def _signals(recs, k):
     return np.array([rec.u[k] for rec in recs]), np.array([rec.y[k] for rec in recs])
 
 
+def _batch(cfg, aug, floor, arma, recs):
+    """The batch ``_bank_step`` takes for the trials of records ``recs``, as
+    ``_run_estimators`` makes it: one estimator per name, built once, its
+    state repeated over the trials and started on their step-0 signals."""
+    built = sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, floor, arma)
+    batch = {name: filters._take(est, np.zeros(len(recs), dtype=int))
+             for name, est in built.items()}
+    for est in batch.values():
+        est.start(*_signals(recs, 0))
+    return batch
+
+
 def _assert_late_failure_commits_nothing(cfg, make_failing):
-    """Step two trials' estimators once, make one step fail late
-    (make_failing gets the banks), step again: the failure propagates and
-    no estimator of either trial has moved past the first step."""
+    """Step a batch of two trials once, make one step fail late
+    (make_failing gets the batch), step again: the failure propagates and
+    no estimator has moved either trial past the first step."""
     recs = [simulate_trial(dataclasses.replace(cfg, seed=seed), ()) for seed in (2, 3)]
     aug = sim.build_augmented(cfg.plant, cfg.strategy)
-    arma = sim.ss_to_arma(cfg.plant)
-    banks = [sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, 0.1, arma) for _ in recs]
-    for bank, rec in zip(banks, recs):
-        for est in bank.values():
-            est.start(rec.u[0], rec.y[0])
-    _bank_step(_grouped(banks), aug, 0.1, *_signals(recs, 1))
-    make_failing(banks)
+    batch = _batch(cfg, aug, 0.1, sim.ss_to_arma(cfg.plant), recs)
+    _bank_step(batch, aug, 0.1, *_signals(recs, 1))
+    make_failing(batch)
 
-    def state(bank):
-        alg1 = bank["alg1"]
+    def state(t):
+        rows = {name: filters._take(est, t) for name, est in batch.items()}
+        alg1 = rows["alg1"]
         histories = alg1._y_hist, alg1._u_hist, alg1._uhat_hist, alg1._mode_hist
-        return [np.array(a) for est in bank.values() for a in _final_beliefs(est)] + [
-            np.array(list(history)) for history in histories]
+        return [a for est in rows.values() for a in _final_beliefs(est)] + list(histories)
 
-    before = [state(bank) for bank in banks]
+    before = [state(t) for t in range(len(recs))]
     with pytest.raises(NumericalError, match="late failure"):
-        _bank_step(_grouped(banks), aug, 0.1, *_signals(recs, 2))
-    after = [state(bank) for bank in banks]
+        _bank_step(batch, aug, 0.1, *_signals(recs, 2))
+    after = [state(t) for t in range(len(recs))]
     for got_all, want_all in zip(after, before, strict=True):
         for got, want in zip(got_all, want_all, strict=True):
             assert np.array_equal(got, want)
-    for bank, rec in zip(banks, recs):
-        assert np.array_equal(bank["alg1"]._y_hist[0], rec.y[1])
-        assert np.array_equal(bank["alg1"]._u_hist[0], rec.u[1])
-        assert np.array_equal(bank["alg2"]._last_u, rec.u[1])
-        assert np.array_equal(bank["imm"]._last_u, rec.u[1])
+    for t, rec in enumerate(recs):
+        assert np.array_equal(batch["alg1"]._y_hist[t, 0], rec.y[1])
+        assert np.array_equal(batch["alg1"]._u_hist[t, 0], rec.u[1])
+        assert np.array_equal(batch["alg2"]._last_u[t], rec.u[1])
+        assert np.array_equal(batch["imm"]._last_u[t], rec.u[1])
 
 
 def test_bank_step_commits_nothing_when_a_later_estimator_fails(preset_trial, monkeypatch):
-    """The batch's IMM step (all trials' IMMs at once, after their alg1 and
-    alg2 steps) failing after the stacked cycle leaves every estimator of
-    every trial as it was: none commits before all succeed."""
+    """The batch's IMM step (both trials' IMMs at once, after the alg1 and
+    alg2 steps) failing after the stacked cycle leaves every estimator's
+    rows of every trial as they were: none commits before all succeed."""
     cfg = dataclasses.replace(preset_trial, steps=5)
 
-    def fail_imms(banks):
+    def fail_imms(batch):
         monkeypatch.setattr(filters, "_imm_step", _late_failure(filters._imm_step))
 
     _assert_late_failure_commits_nothing(cfg, fail_imms)
 
 
 def test_bank_step_commits_nothing_when_one_trials_estimator_fails(preset_trial, monkeypatch):
-    """The batch's alg2 step (both trials' alg2 estimators at once) failing
-    after the stacked cycle leaves every estimator as it was, both trials'
-    alg1 and the batch's IMMs, which run after it, included."""
+    """The batch's alg2 step (both trials at once) failing after the stacked
+    cycle leaves every estimator as it was, the alg1 ahead of it and the
+    IMM after it included."""
     cfg = dataclasses.replace(preset_trial, steps=5)
 
-    def fail_alg2(banks):
+    def fail_alg2(batch):
         monkeypatch.setattr(filters, "_alg2_step", _late_failure(filters._alg2_step))
 
     _assert_late_failure_commits_nothing(cfg, fail_alg2)
 
 
 def test_bank_step_commits_nothing_when_the_alg1_step_fails(preset_trial, monkeypatch):
-    """The batch's alg1 step (both trials' alg1 estimators at once, ahead of
-    the others) failing after the stacked cycle leaves every estimator as it
-    was: their deque histories, posteriors and beliefs included."""
+    """The batch's alg1 step (both trials at once, ahead of the others)
+    failing after the stacked cycle leaves every estimator as it was: the
+    alg1 history arrays, posteriors and beliefs included."""
     cfg = dataclasses.replace(preset_trial, steps=5)
 
-    def fail_alg1(banks):
+    def fail_alg1(batch):
         monkeypatch.setattr(filters, "_alg1_step", _late_failure(filters._alg1_step))
 
     _assert_late_failure_commits_nothing(cfg, fail_alg1)
@@ -571,9 +576,9 @@ def test_each_kind_steps_once_per_lockstep_step(preset_trial, monkeypatch):
     calls = Counter()
 
     def counting(name, make_step):
-        def step(aug, ests, *args):
-            calls[name, len(ests)] += 1
-            return make_step(aug, ests, *args)
+        def step(aug, est, *args):
+            calls[name, est.posterior.shape[0]] += 1
+            return make_step(aug, est, *args)
         return step
 
     for name in ESTIMATOR_KEYS:
@@ -583,6 +588,29 @@ def test_each_kind_steps_once_per_lockstep_step(preset_trial, monkeypatch):
     records = list(run_monte_carlo(cfg, 7, 5, ESTIMATOR_KEYS))
     assert not any(rec.failed for rec in records)
     assert calls == {(name, 7): cfg.steps for name in ESTIMATOR_KEYS}
+
+
+def test_a_batch_builds_and_starts_each_kind_once(preset_trial, monkeypatch):
+    """A batch of 7 trials calls each estimator class's constructor and
+    ``start`` once: one object per kind holds all 7 trials as rows."""
+    calls = Counter()
+
+    def counting(cls, attr):
+        real = getattr(cls, attr)
+
+        def counted(est, *args, **kwargs):
+            calls[cls.key, attr] += 1
+            return real(est, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+
+    for cls in (Alg1Estimator, Alg2Estimator, ImmEstimator):
+        for attr in ("__init__", "start", "step"):
+            counting(cls, attr)
+    records = list(run_monte_carlo(dataclasses.replace(preset_trial, steps=6), 7, 5,
+                                   ESTIMATOR_KEYS))
+    assert len(records) == 7 and not any(rec.failed for rec in records)
+    assert calls == {(key, attr): 1 for key in ESTIMATOR_KEYS for attr in ("__init__", "start")}
 
 
 def test_monte_carlo_builds_no_step_result(preset_trial, monkeypatch):
@@ -730,12 +758,12 @@ def test_monte_carlo_batches_equal_trials_run_alone(preset_trial, monkeypatch, b
         calls = Counter()
         real = sim._bank_step
 
-        def counted(groups, *args):
-            assert tuple(groups) == names
-            sizes = {len(ests) for ests in groups.values()}
+        def counted(batch, *args):
+            assert tuple(batch) == names
+            sizes = {est.posterior.shape[0] for est in batch.values()}
             assert len(sizes) == 1
             calls[sizes.pop()] += 1
-            return real(groups, *args)
+            return real(batch, *args)
 
         monkeypatch.setattr(sim, "_bank_step", counted)
         records = list(run_monte_carlo(cfg, n_trials, 55, names))
@@ -762,15 +790,13 @@ def test_lockstep_step_results_equal_each_trial_alone(preset_trial):
         arma = sim.ss_to_arma(cfg.plant)
         floor = filters.DEFAULT_HELD_COV_FLOOR
 
-        def build():
-            return [sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, floor, arma) for _ in recs]
-
-        banks, alone = build(), build()
-        for bank, lone_bank, rec in zip(banks, alone, recs):
-            for est in [*bank.values(), *lone_bank.values()]:
+        batch = _batch(cfg, aug, floor, arma, recs)
+        alone = [sim._build_estimators(cfg, ESTIMATOR_KEYS, aug, floor, arma) for _ in recs]
+        for lone_bank, rec in zip(alone, recs):
+            for est in lone_bank.values():
                 est.start(rec.u[0], rec.y[0])
         for k in range(1, cfg.steps + 1):
-            columns = _bank_step(_grouped(banks), aug, floor, *_signals(recs, k))
+            columns = _bank_step(batch, aug, floor, *_signals(recs, k))
             assert tuple(columns) == ESTIMATOR_KEYS
             for name, (modes, states, posteriors, logliks, fallbacks) in columns.items():
                 assert modes.shape == fallbacks.shape == (len(recs),)
@@ -781,10 +807,10 @@ def test_lockstep_step_results_equal_each_trial_alone(preset_trial):
                     for got, field in ((states, "state"), (posteriors, "posterior"),
                                        (logliks, "loglik")):
                         assert np.array_equal(got[t], getattr(want, field)), (name, field)
-        for bank, lone_bank in zip(banks, alone):
+        for t, lone_bank in enumerate(alone):
             for name in ESTIMATOR_KEYS:
-                for got, want in zip(_final_beliefs(bank[name]), _final_beliefs(lone_bank[name]),
-                                     strict=True):
+                for got, want in zip(_final_beliefs(filters._take(batch[name], t)),
+                                     _final_beliefs(lone_bank[name]), strict=True):
                     assert np.array_equal(got, want), name
 
 
@@ -859,15 +885,16 @@ def _check_batched_run(cfg, names, n_trials, monkeypatch):
     checked = Counter()
     real = sim._bank_step
 
-    def checking(groups, *args):
-        columns = real(groups, *args)
+    def checking(batch, *args):
+        columns = real(batch, *args)
         checked["steps"] += 1
-        for name, ests in groups.items():
-            posteriors = np.reshape(columns[name][2], (len(ests), -1))
-            for est, posterior in zip(ests, posteriors, strict=True):
+        for name, est in batch.items():
+            posteriors = columns[name][2]
+            assert len(posteriors) == est.posterior.shape[0]
+            for t, posterior in enumerate(posteriors):
                 assert np.all(posterior >= 0.0)
                 assert abs(posterior.sum() - 1.0) <= 1e-12
-                for belief in _beliefs(est):
+                for belief in _beliefs(filters._take(est, t)):
                     belief.validate()
                 checked[est.key] += 1
         return columns

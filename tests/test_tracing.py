@@ -63,7 +63,8 @@ def test_traced_monte_carlo_runs_one_cycle_per_step():
     Kalman cycle for all trials' banks, one alg2 recursion for all their
     alg2 estimators and one IMM recursion for all their IMMs (each one
     prior prediction and one posterior update), while alg1 still scores its
-    candidates and predicts its prior once per trial; the models are built
+    candidates and predicts its prior once per trial; the models, and one
+    estimator of each kind holding all the trials, are built and started
     once per batch."""
     steps, trials = 5, 4
     cfg = dataclasses.replace(load_config("cstr5").trial, steps=steps)
@@ -80,7 +81,7 @@ def test_traced_monte_carlo_runs_one_cycle_per_step():
     assert totals["markov.sample_next"] == 0  # the truth searches the chain's CDF rows itself
     assert totals["sim.simulate_trial"] == 0
     for key in ESTIMATOR_KEYS:
-        assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == trials
+        assert totals[f"filters.{key}.init"] == totals[f"filters.{key}.start"] == 1
         assert totals[f"filters.{key}.step"] == 0
     assert totals["markov.predict_prior"] == trials * steps + 2 * steps
     expected = {
